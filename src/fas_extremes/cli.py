@@ -107,9 +107,10 @@ def _x_of(th_db: float, snr_db: float) -> float:
     return 10.0 ** ((th_db - snr_db) / 10.0)
 
 
-def _mc(model: str, N: int, W: float, x: float, cfg: McConfig):
+def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
+    """One Monte Carlo pass over the field, an estimate per threshold in xs."""
     config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
-    return simulate_outage(cholesky(correlation_matrix(config)), x, cfg)
+    return simulate_outage(cholesky(correlation_matrix(config)), xs, cfg)
 
 
 def _spectrum(model: str, N: int, W: float):
@@ -195,16 +196,16 @@ def _run_outage_snr(args):
         if model in (m, "both"):
             cfgm = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(m))
             factors[m] = cholesky(correlation_matrix(cfgm))
+    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
+    mc = {m: simulate_outage(factor, xs, cfg) for m, factor in factors.items()}
     rows = []
-    for snr in snrs:
-        x = _x_of(args.th_db, snr)
-        cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
+    for i, (snr, x) in enumerate(zip(snrs, xs)):
         row = {"snr_db": snr, "x": x}
         for m in ("jakes", "gauss"):
-            if m in factors:
-                est = simulate_outage(factors[m], x, cfg)
-                row[f"mc_{m}"] = est.p
-                row[f"std_err_{m}"] = est.std_err
+            if m in mc:
+                row[f"mc_{m}"] = mc[m][i].p
+                row[f"std_err_{m}"] = mc[m][i].std_err
             else:
                 row[f"mc_{m}"] = None
                 row[f"std_err_{m}"] = None
@@ -225,17 +226,17 @@ def _run_outage_aperture(args):
     snrs = args.snr_db or [-5.0, 0.0, 5.0]
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 + 0.25 * i for i in range(11)] if args.W is None else [args.W]
+    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
         N = args.N if args.N is not None else max(2, math.ceil(20 * W))
-        for snr in snrs:
-            x = _x_of(args.th_db, snr)
-            cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
+        mc = {m: _mc(m, N, W, xs, cfg) for m in ("jakes", "gauss")}
+        for i, (snr, x) in enumerate(zip(snrs, xs)):
             row = {"W": W, "N": N, "snr_db": snr, "x": x}
             for m in ("jakes", "gauss"):
-                est = _mc(m, N, W, x, cfg)
-                row[f"mc_{m}"] = est.p
-                row[f"std_err_{m}"] = est.std_err
+                row[f"mc_{m}"] = mc[m][i].p
+                row[f"std_err_{m}"] = mc[m][i].std_err
             cont = outage_continuous(x, W)
             row["continuum"] = cont.value
             row["continuum_clamped"] = cont.clamped
@@ -269,18 +270,18 @@ def _run_outage_ports(args):
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [1.0, 2.0, 3.0] if args.W is None else [args.W]
     Ns = PORT_SWEEP if args.N is None else (args.N,)
+    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
-        for snr in snrs:
-            x = _x_of(args.th_db, snr)
+        mc = {(N, m): _mc(m, N, W, xs, cfg) for N in Ns for m in ("jakes", "gauss")}
+        for i, (snr, x) in enumerate(zip(snrs, xs)):
             cont = outage_continuous(x, W)
             for N in Ns:
-                cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
                 row = {"N": N, "W": W, "snr_db": snr, "x": x}
                 for m in ("jakes", "gauss"):
-                    est = _mc(m, N, W, x, cfg)
-                    row[f"mc_{m}"] = est.p
-                    row[f"std_err_{m}"] = est.std_err
+                    row[f"mc_{m}"] = mc[N, m][i].p
+                    row[f"std_err_{m}"] = mc[N, m][i].std_err
                 row["continuum"] = cont.value
                 rows.append(row)
     return list(rows[0].keys()), rows, {}
@@ -297,22 +298,19 @@ def _run_kl_convergence(args):
     meta = {}
     specs = {m: _spectrum(m, N, W) for m in ("jakes", "gauss")}
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
+    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    tags = [_snr_tag(snr) for snr in snrs]
     for m in ("jakes", "gauss"):
-        for snr in snrs:
-            x = _x_of(args.th_db, snr)
-            est = _mc(m, N, W, x, cfg)
-            meta[f"mc_full_{m}_{_snr_tag(snr)}"] = f"{est.p:.17g} (std_err {est.std_err:.3g})"
+        for tag, est in zip(tags, _mc(m, N, W, xs, cfg)):
+            meta[f"mc_full_{m}_{tag}"] = f"{est.p:.17g} (std_err {est.std_err:.3g})"
     rows = []
     for K in range(1, k_max + 1):
         row = {"K": K}
+        kls = {m: kl_truncate(specs[m], K) for m in ("jakes", "gauss")}
         for m in ("jakes", "gauss"):
-            row[f"eps_{m}"] = kl_truncate(specs[m], K).truncation_error
+            row[f"eps_{m}"] = kls[m].truncation_error
         for m in ("jakes", "gauss"):
-            kl = kl_truncate(specs[m], K)
-            for snr in snrs:
-                x = _x_of(args.th_db, snr)
-                est = simulate_outage_truncated(kl, x, cfg)
-                tag = _snr_tag(snr)
+            for tag, est in zip(tags, simulate_outage_truncated(kls[m], xs, cfg)):
                 row[f"trunc_{m}_{tag}"] = est.p
                 row[f"std_err_{m}_{tag}"] = est.std_err
         rows.append(row)
@@ -326,6 +324,8 @@ def _run_slepian_blocks(args):
     N = args.N if args.N is not None else 20
     W = args.W if args.W is not None else 1.0
     snr = (args.snr_db or [-5.0])[0]
+    if not (1 <= args.blocks <= N):
+        raise DomainError(f"--blocks must be in [1, {N}], got {args.blocks}")
     x = _x_of(args.th_db, snr)
     trials = args.trials if args.trials is not None else 1_000_000
     config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
@@ -363,6 +363,8 @@ def _run_gauss_error(args):
     snrs = args.snr_db or [-5.0, 0.0, 5.0, 10.0]
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 * i for i in range(1, 11)] if args.W is None else [args.W]
+    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
         factors = {
@@ -373,11 +375,9 @@ def _run_gauss_error(args):
             )
             for m in ("jakes", "gauss")
         }
-        for snr in snrs:
-            x = _x_of(args.th_db, snr)
-            cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-            est = {m: simulate_outage(factors[m], x, cfg) for m in ("jakes", "gauss")}
-            pj, pg = est["jakes"].p, est["gauss"].p
+        mc = {m: simulate_outage(factors[m], xs, cfg) for m in ("jakes", "gauss")}
+        for snr, x, ej, eg in zip(snrs, xs, mc["jakes"], mc["gauss"]):
+            pj, pg = ej.p, eg.p
             rel = abs(pg - pj) / pj if pj > 0 else None
             rows.append(
                 {
@@ -385,11 +385,11 @@ def _run_gauss_error(args):
                     "snr_db": snr,
                     "x": x,
                     "mc_jakes": pj,
-                    "hits_jakes": round(pj * trials),
-                    "std_err_jakes": est["jakes"].std_err,
+                    "hits_jakes": ej.hits,
+                    "std_err_jakes": ej.std_err,
                     "mc_gauss": pg,
-                    "hits_gauss": round(pg * trials),
-                    "std_err_gauss": est["gauss"].std_err,
+                    "hits_gauss": eg.hits,
+                    "std_err_gauss": eg.std_err,
                     "rel_error": rel,
                 }
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import EigenSpectrum, KlSpec
+from .fieldmodel import EigenSpectrum
 from .specialfn import DomainError, exp_integral_e1, gauss_hermite
 
 __all__ = [
@@ -232,8 +232,3 @@ def ergodic_rate_rank1(spec: EigenSpectrum, avg_snr: float) -> float:
         inv = 1.0 / beta
         return inv * (1.0 - inv + 2.0 * inv * inv) / math.log(2.0)
     return math.exp(beta) * exp_integral_e1(beta) / math.log(2.0)
-
-
-def truncated_gain_matrix(kl: KlSpec) -> np.ndarray:
-    """Real N x K map from mode coordinates to port amplitudes."""
-    return kl.eigenvectors * np.sqrt(np.maximum(kl.eigenvalues, 0.0))

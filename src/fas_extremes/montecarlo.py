@@ -9,11 +9,26 @@ budget and draws from Philox(seed).jumped(w), so any (seed, workers,
 trials) triple reproduces bit-for-bit. Workers run serially in-process;
 the knob exists for stream partitioning and metadata, not OS threads,
 which keeps the reduction order deterministic at no accuracy cost.
+
+One private driver (_sample) owns that loop. It takes the
+latent-to-port matrix, the McConfig and a per-chunk reducer, and feeds
+the reducer every chunk of squared port gains in worker order. Each
+public estimator is a reducer over it: hit counts for outage, a
+mean/M2 merge (Chan et al.) for the ergodic rate and the upcrossing
+count.
+
+A threshold sweep reuses one set of draws. simulate_outage and
+simulate_outage_truncated accept a sequence of thresholds and count
+hits at every one of them from the same chunks, so the estimate at
+thresholds[i] is the very integer count, p and std_err that a scalar
+call at thresholds[i] with the same McConfig returns; a sweep costs one
+pass over the field instead of one per point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +50,7 @@ __all__ = [
     "simulate_outage_truncated",
     "simulate_ergodic_rate",
     "count_upcrossings",
+    "truncated_gain_matrix",
 ]
 
 _CHUNK_BUDGET = 4_000_000  # floats per chunk row-block, keeps peak memory modest
@@ -60,14 +76,13 @@ class McConfig:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """Uniform result record shared by the analytic and MC routes."""
+    """Monte Carlo outage: hits of trials, p = hits / trials, binomial std_err."""
 
     p: float
     method: str
-    trials: int | None = None
-    std_err: float | None = None
-    clamped: bool = False
-    valid: bool = True
+    trials: int
+    hits: int
+    std_err: float
     jitter: float | None = None
 
 
@@ -106,57 +121,115 @@ def _gain_chunks(mat: np.ndarray, n_rows: int, rng: np.random.Generator):
         done += m
 
 
+def _sample(mat: np.ndarray, cfg: McConfig, reduce: Callable[[np.ndarray], None]) -> None:
+    """Feed every chunk of squared port gains to reduce, in worker order."""
+    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
+        if n_w == 0:
+            continue
+        rng = _worker_rng(cfg, w)
+        for gains in _gain_chunks(mat, n_w, rng):
+            reduce(gains)
+
+
+class _Moments:
+    """Running count, mean and sum of squared deviations of merged chunks.
+
+    Chunks merge by the pairwise update of Chan, Golub and LeVeque, so
+    the variance never comes from the cancellation-prone E[r^2] - E[r]^2.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        n_b = values.size
+        mean_b = float(values.mean())
+        m2_b = float(((values - mean_b) ** 2).sum())
+        n = self.n + n_b
+        delta = mean_b - self.mean
+        self.mean += delta * n_b / n
+        self.m2 += m2_b + delta * delta * self.n * n_b / n
+        self.n = n
+
+    def mean_and_std_err(self) -> tuple[float, float]:
+        return self.mean, math.sqrt(self.m2 / self.n / self.n)
+
+
 def _resolve_factor(R: CorrMatrix | CholeskyFactor | np.ndarray) -> CholeskyFactor:
     if isinstance(R, CholeskyFactor):
         return R
     return cholesky(R)
 
 
+def _thresholds(x: float | Sequence[float]) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1 or xs.size == 0:
+        raise DomainError(f"threshold x must be a number or a non-empty 1-D sequence, got {x!r}")
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise DomainError(f"threshold x must be positive and finite, got {x!r}")
+    return xs
+
+
+def _outage(
+    mat: np.ndarray,
+    x: float | Sequence[float],
+    cfg: McConfig,
+    method: str,
+    jitter: float | None,
+) -> OutageEstimate | tuple[OutageEstimate, ...]:
+    xs = _thresholds(x)
+    hits = np.zeros(xs.size, dtype=np.int64)
+
+    def reduce(gains: np.ndarray) -> None:
+        peak = gains.max(axis=1)
+        hits[:] += np.count_nonzero(peak[:, None] < xs, axis=0)
+
+    _sample(mat, cfg, reduce)
+    estimates = []
+    for h in map(int, hits):
+        p = h / cfg.trials
+        estimates.append(
+            OutageEstimate(
+                p=p,
+                method=method,
+                trials=cfg.trials,
+                hits=h,
+                std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
+                jitter=jitter,
+            )
+        )
+    return estimates[0] if np.ndim(x) == 0 else tuple(estimates)
+
+
 def simulate_outage(
-    R: CorrMatrix | CholeskyFactor | np.ndarray, x: float, cfg: McConfig
-) -> OutageEstimate:
-    """Fraction of trials where every port gain stays below x."""
-    x = float(x)
-    if not (x > 0):
-        raise DomainError(f"threshold x must be positive, got {x!r}")
+    R: CorrMatrix | CholeskyFactor | np.ndarray,
+    x: float | Sequence[float],
+    cfg: McConfig,
+) -> OutageEstimate | tuple[OutageEstimate, ...]:
+    """Fraction of trials where every port gain stays below x.
+
+    A number x gives one OutageEstimate; a sequence gives a tuple of
+    estimates in the same order, all counted from one set of draws.
+    """
     factor = _resolve_factor(R)
-    hits = 0
-    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
-        if n_w == 0:
-            continue
-        rng = _worker_rng(cfg, w)
-        for gains in _gain_chunks(factor.lower, n_w, rng):
-            hits += int((gains.max(axis=1) < x).sum())
-    p = hits / cfg.trials
-    return OutageEstimate(
-        p=p,
-        method="mc",
-        trials=cfg.trials,
-        std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
-        jitter=factor.jitter,
-    )
+    return _outage(factor.lower, x, cfg, "mc", factor.jitter)
 
 
-def simulate_outage_truncated(kl: KlSpec, x: float, cfg: McConfig) -> OutageEstimate:
-    """Outage of the rank-K truncated field, exact re-parameterization at K = N."""
-    x = float(x)
-    if not (x > 0):
-        raise DomainError(f"threshold x must be positive, got {x!r}")
-    mat = kl.eigenvectors * np.sqrt(np.maximum(kl.eigenvalues, 0.0))
-    hits = 0
-    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
-        if n_w == 0:
-            continue
-        rng = _worker_rng(cfg, w)
-        for gains in _gain_chunks(mat, n_w, rng):
-            hits += int((gains.max(axis=1) < x).sum())
-    p = hits / cfg.trials
-    return OutageEstimate(
-        p=p,
-        method="mc_truncated",
-        trials=cfg.trials,
-        std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
-    )
+def truncated_gain_matrix(kl: KlSpec) -> np.ndarray:
+    """Real N x K map U_K sqrt(L_K) from mode coordinates to port amplitudes."""
+    return kl.eigenvectors * np.sqrt(np.maximum(kl.eigenvalues, 0.0))
+
+
+def simulate_outage_truncated(
+    kl: KlSpec, x: float | Sequence[float], cfg: McConfig
+) -> OutageEstimate | tuple[OutageEstimate, ...]:
+    """Outage of the rank-K truncated field, exact re-parameterization at K = N.
+
+    x is a number or a sequence of thresholds, as in simulate_outage.
+    """
+    return _outage(truncated_gain_matrix(kl), x, cfg, "mc_truncated", None)
 
 
 def simulate_ergodic_rate(
@@ -164,23 +237,14 @@ def simulate_ergodic_rate(
 ) -> tuple[float, float]:
     """Sample mean and standard error of log2(1 + snr * max_n |g_n|^2)."""
     avg_snr = float(avg_snr)
-    if not (avg_snr > 0):
-        raise DomainError(f"avg_snr must be positive, got {avg_snr!r}")
+    if not (avg_snr > 0) or not math.isfinite(avg_snr):
+        raise DomainError(f"avg_snr must be positive and finite, got {avg_snr!r}")
     factor = _resolve_factor(R)
-    total = 0.0
-    total_sq = 0.0
-    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
-        if n_w == 0:
-            continue
-        rng = _worker_rng(cfg, w)
-        for gains in _gain_chunks(factor.lower, n_w, rng):
-            rate = np.log2(1.0 + avg_snr * gains.max(axis=1))
-            total += float(rate.sum())
-            total_sq += float((rate * rate).sum())
-    n = cfg.trials
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    return mean, math.sqrt(var / n)
+    moments = _Moments()
+    _sample(
+        factor.lower, cfg, lambda gains: moments.add(np.log2(1.0 + avg_snr * gains.max(axis=1)))
+    )
+    return moments.mean_and_std_err()
 
 
 def count_upcrossings(
@@ -198,18 +262,11 @@ def count_upcrossings(
     if config.N < 2:
         raise DomainError("upcrossing counting needs at least two ports")
     factor = cholesky(correlation_matrix(config))
-    total = 0.0
-    total_sq = 0.0
-    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
-        if n_w == 0:
-            continue
-        rng = _worker_rng(cfg, w)
-        for gains in _gain_chunks(factor.lower, n_w, rng):
-            cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
-            cross = cross.astype(float)
-            total += float(cross.sum())
-            total_sq += float((cross * cross).sum())
-    n = cfg.trials
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    return mean, math.sqrt(var / n)
+    moments = _Moments()
+
+    def reduce(gains: np.ndarray) -> None:
+        cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
+        moments.add(cross.astype(float))
+
+    _sample(factor.lower, cfg, reduce)
+    return moments.mean_and_std_err()

@@ -28,9 +28,13 @@ from fas_extremes.kl_outage import (
     outage_rank1,
     outage_rank2,
     outage_rankK,
+)
+from fas_extremes.montecarlo import (
+    McConfig,
+    simulate_outage,
+    simulate_outage_truncated,
     truncated_gain_matrix,
 )
-from fas_extremes.montecarlo import McConfig, simulate_outage, simulate_outage_truncated
 from fas_extremes.specialfn import DomainError, exp_integral_e1
 
 

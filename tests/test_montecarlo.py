@@ -1,5 +1,6 @@
 """Monte Carlo engine: correctness against closed forms, determinism,
-and regression against committed oracle fixtures.
+threshold sweeps that equal scalar calls exactly, and regression against
+committed oracle fixtures.
 
 The committed CSV under tests/fixtures/ freezes four outage estimates
 bit-for-bit. Any drift there means the sampler, RNG streaming, chunking,
@@ -13,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from fas_extremes import cli, montecarlo
 from fas_extremes.fieldmodel import (
     ApertureConfig,
     cholesky,
@@ -23,6 +25,9 @@ from fas_extremes.fieldmodel import (
 from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
     McConfig,
+    OutageEstimate,
+    _Moments,
+    _sample,
     _worker_slices,
     count_upcrossings,
     simulate_ergodic_rate,
@@ -79,6 +84,101 @@ class TestIdentityChecks:
             simulate_outage(np.eye(2), 0.0, McConfig(trials=10))
         with pytest.raises(DomainError):
             simulate_outage(np.eye(2), -1.0, McConfig(trials=10))
+
+
+def _gauss_n8():
+    return correlation_matrix(ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN))
+
+
+SAMPLERS = {
+    "full": lambda x, cfg: simulate_outage(_gauss_n8(), x, cfg),
+    "truncated": lambda x, cfg: simulate_outage_truncated(
+        kl_truncate(eigendecompose(_gauss_n8()), 3), x, cfg
+    ),
+}
+
+
+class TestThresholdSweep:
+    """A sequence of thresholds is counted from one set of draws."""
+
+    XS = [2.5, 0.3, 1.0, 0.3, 4.0]  # unsorted, with a repeat
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_sweep_equals_scalar_calls(self, monkeypatch, sampler, workers):
+        # the smallest chunk is 1024 rows, so every worker reduces several
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        cfg = McConfig(trials=7_001, seed=11, workers=workers)
+        sweep = SAMPLERS[sampler](self.XS, cfg)
+        assert isinstance(sweep, tuple) and len(sweep) == len(self.XS)
+        for x, est in zip(self.XS, sweep):
+            assert est == SAMPLERS[sampler](x, cfg)
+
+    def test_scalar_returns_one_estimate(self):
+        est = simulate_outage(np.eye(2), 1.0, McConfig(trials=1_000))
+        assert isinstance(est, OutageEstimate)
+        assert est.p == est.hits / est.trials
+
+    def test_sequence_keeps_input_order(self):
+        cfg = McConfig(trials=5_000, seed=3)
+        sweep = simulate_outage(np.eye(3), np.array(self.XS), cfg)
+        assert sweep[1] == sweep[3]
+        ranked = sorted(range(len(self.XS)), key=self.XS.__getitem__)
+        hits = [sweep[i].hits for i in ranked]
+        assert hits == sorted(hits) and hits[0] < hits[-1]
+        assert simulate_outage(np.eye(3), tuple(self.XS), cfg) == sweep
+
+    @pytest.mark.parametrize(
+        "x",
+        [math.inf, math.nan, [], [1.0, 0.0], [1.0, -2.0], [math.nan], [1.0, math.inf],
+         [[1.0]]],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_bad_thresholds_raise_before_any_draw(self, monkeypatch, sampler, x):
+        def no_draws(*args):
+            raise AssertionError("drew samples for an invalid threshold")
+
+        monkeypatch.setattr(montecarlo, "_worker_rng", no_draws)
+        with pytest.raises(DomainError):
+            SAMPLERS[sampler](x, McConfig(trials=10))
+
+
+class TestCliSamplesOncePerField:
+    """Each (model, W, N[, K]) is sampled once over all its SNR points."""
+
+    @pytest.mark.parametrize(
+        "argv,full,truncated",
+        [
+            (["outage-aperture", "--W", "1", "--N", "10", "--snr-db", "-5,0,5"], 2, 0),
+            (["outage-snr", "--N", "6", "--snr-db", "-5,0,5"], 2, 0),
+            (["outage-ports", "--W", "1", "--N", "5", "--snr-db", "-5,0"], 2, 0),
+            (["gauss-error", "--W", "1", "--N", "6"], 2, 0),
+            (["kl-convergence", "--N", "8", "--K", "3"], 2, 6),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_call_counts(self, tmp_path, monkeypatch, argv, full, truncated):
+        calls = {"full": 0, "truncated": 0}
+
+        def counting(kind, fn):
+            def wrapper(*args, **kwargs):
+                # the benchmark's spans read args[0] and args[2]
+                assert len(args) == 3 and not kwargs
+                assert isinstance(args[2], McConfig)
+                calls[kind] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "simulate_outage", counting("full", simulate_outage))
+        monkeypatch.setattr(
+            cli, "simulate_outage_truncated", counting("truncated", simulate_outage_truncated)
+        )
+        rc = cli.main(argv + ["--trials", "500", "--workers", "1",
+                              "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert calls == {"full": full, "truncated": truncated}
 
 
 class TestDeterminism:
@@ -156,8 +256,32 @@ class TestErgodic:
         assert abs(mean - truth) <= 3.0 * se
 
     def test_snr_validation(self):
-        with pytest.raises(DomainError):
-            simulate_ergodic_rate(np.eye(2), 0.0, McConfig(trials=10))
+        for snr in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                simulate_ergodic_rate(np.eye(2), snr, McConfig(trials=10))
+
+    def test_std_err_matches_two_pass_on_same_draws(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        R = _gauss_n8()
+        cfg = McConfig(trials=5_003, seed=5, workers=3)
+        mean, se = simulate_ergodic_rate(R, 2.0, cfg)
+        chunks = []
+        _sample(cholesky(R).lower, cfg, chunks.append)
+        rate = np.log2(1.0 + 2.0 * np.concatenate(chunks).max(axis=1))
+        assert mean == pytest.approx(rate.mean(), rel=1e-13)
+        assert se == pytest.approx(rate.std() / math.sqrt(rate.size), rel=1e-12)
+
+
+class TestMoments:
+    def test_chunk_merge_survives_large_offset(self):
+        # E[r^2] - E[r]^2 loses every digit of a unit variance at 1e9
+        values = 1e9 + np.random.default_rng(0).standard_normal(30_000)
+        acc = _Moments()
+        for chunk in np.array_split(values, 7):
+            acc.add(chunk)
+        mean, se = acc.mean_and_std_err()
+        assert mean == pytest.approx(values.mean(), rel=1e-15)
+        assert se == pytest.approx(values.std() / math.sqrt(values.size), rel=1e-9)
 
 
 class TestUpcrossings:
