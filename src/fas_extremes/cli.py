@@ -58,6 +58,10 @@ EXPERIMENTS = (
     "gauss-error",
 )
 
+# Philox streams the trial budget is split into unless --workers says
+# otherwise; fixed, so one command writes one CSV on every machine
+DEFAULT_WORKERS = 8
+
 PORT_SWEEP = (3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 
 
@@ -98,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=8)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.add_argument("--out", default=None, help="output CSV path")
     return p
 
@@ -451,8 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is None:
         env = os.environ.get("FAS_SEED")
         args.seed = int(env) if env else 42
-    if args.workers is None:
-        args.workers = os.cpu_count() or 1
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be positive")
     if args.workers < 1:

@@ -2,10 +2,13 @@
 
 The antenna aperture [0, W] is sampled at N equally spaced ports. The
 port-gain covariance is a symmetric Toeplitz matrix built from one of
-the kernels module's correlation functions. Eigendecomposition uses a
-cyclic Jacobi solver with a fixed ordering and sign convention so that
-downstream fixtures reproduce bit-for-bit; sampling factorizations go
-through Cholesky with an escalating diagonal jitter.
+the kernels module's correlation functions. Eigendecomposition is one
+LAPACK call (numpy.linalg.eigh) with a fixed ordering and sign
+convention. Its input must be positive semi-definite up to the
+Cholesky ladder's largest shift. Eigenvalues are reported as
+magnitudes, so tail values below the roundoff floor n eps lambda_max
+are roundoff, not the true (smaller, positive) eigenvalues. Sampling
+factorizations go through Cholesky with an escalating diagonal jitter.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ __all__ = [
     "KlSpec",
     "CholeskyFactor",
     "FactorizationError",
-    "ConvergenceError",
     "port_positions",
     "correlation_matrix",
     "eigendecompose",
     "cholesky",
     "kl_truncate",
-    "dump_matrix_csv",
 ]
 
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
@@ -39,18 +40,6 @@ JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 class FactorizationError(ArithmeticError):
     """Matrix stayed non-positive-definite through the whole jitter ladder."""
-
-
-class ConvergenceError(ArithmeticError):
-    """Jacobi sweeps hit the iteration cap; carries the residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"eigensolver failed to converge: off-diagonal residual "
-            f"{residual:.3e} after {sweeps} sweeps"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -128,65 +117,23 @@ def correlation_matrix(config: ApertureConfig) -> CorrMatrix:
     return CorrMatrix(dim=n, entries=lags[idx], source=config)
 
 
-def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int = 100):
-    """Cyclic Jacobi rotations on a symmetric matrix, in place.
-
-    Returns (eigenvalues, accumulated rotation matrix, sweeps used).
-    Convergence is declared when the off-diagonal Frobenius norm drops
-    below tol. The rotation update follows the classical stable form
-    with t chosen as the smaller-magnitude root.
-    """
-    n = a.shape[0]
-    v = np.eye(n)
-    sweeps = 0
-
-    def _off_norm() -> float:
-        # summing the off-diagonal squares directly avoids the
-        # catastrophic cancellation of tr(A^2) - sum(diag^2)
-        strict = a[~np.eye(n, dtype=bool)]
-        return math.sqrt(float((strict * strict).sum()))
-
-    while sweeps < max_sweeps:
-        off = _off_norm()
-        if off < tol:
-            return np.diag(a).copy(), v, sweeps
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)  # limit form, avoids theta^2 overflow
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns p and q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    off = _off_norm()
-    if off < tol:
-        return np.diag(a).copy(), v, sweeps
-    raise ConvergenceError(off, sweeps)
-
-
 def eigendecompose(R: CorrMatrix | np.ndarray) -> EigenSpectrum:
     """Full symmetric eigendecomposition with a reproducible layout.
+
+    One LAPACK call (numpy.linalg.eigh). The input must be positive
+    semi-definite, as every correlation matrix is. Its entries carry
+    kernel-evaluation error (the series J0 is off by up to 3.4e-13 on
+    the Jakes N = 20, W = 3 grid, whose float matrix a 40-digit mpmath
+    eigsy finds indefinite at -1.0e-13), so the guard allows what the
+    Cholesky sampler allows: an eigenvalue below -JITTER_LADDER[-1]
+    (or below the solver's roundoff floor n eps max|lambda|, if that is
+    larger) raises DomainError. The rest are reported as |lambda|, the
+    matrix's singular values. Those keep the solver's Weyl bound of
+    n eps max|lambda| and sit no farther from the eigenvalues of any
+    PSD matrix than lambda does. Tail eigenvalues below that floor are
+    roundoff magnitudes, not the true values: for the Gaussian kernel
+    at N = 50, W = 3, a 120-digit mpmath eigsy puts the smallest
+    eigenvalue at 7.1e-24, where eigh returns -6.3e-16.
 
     Eigenvalues are sorted descending; ties keep the smaller pre-sort
     index first. Each eigenvector's sign is fixed so its largest-
@@ -198,17 +145,20 @@ def eigendecompose(R: CorrMatrix | np.ndarray) -> EigenSpectrum:
     if not np.allclose(m, m.T, atol=1e-12):
         raise DomainError("matrix is not symmetric")
     n = m.shape[0]
-    work = np.array(m, dtype=float, copy=True)
-    vals, vecs, _ = _jacobi_sweeps(work, tol=1e-12 * n)
+    vals, vecs = np.linalg.eigh(m)
+    roundoff = n * np.finfo(float).eps * float(np.abs(vals).max(initial=0.0))
+    tol = max(JITTER_LADDER[-1], roundoff)
+    if n and vals[0] < -tol:
+        raise DomainError(
+            f"matrix is not positive semi-definite: eigenvalue {vals[0]:.3e} below -{tol:.3e}"
+        )
+    vals = np.abs(vals)
 
     order = np.lexsort((np.arange(n), -vals))  # descending, stable in index
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(n):
-        col = vecs[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0:
-            vecs[:, k] = -col
+    peak = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[peak, np.arange(n)] < 0, -1.0, 1.0)
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -254,11 +204,3 @@ def kl_truncate(spec: EigenSpectrum, K: int) -> KlSpec:
         truncation_error=eps,
     )
 
-
-def dump_matrix_csv(R: CorrMatrix | np.ndarray, path: str) -> None:
-    """Plain-text dump of the matrix entries, row-major, 17 significant digits."""
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")

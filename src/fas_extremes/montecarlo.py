@@ -9,6 +9,9 @@ budget and draws from Philox(seed).jumped(w), so any (seed, workers,
 trials) triple reproduces bit-for-bit. Workers run serially in-process;
 the knob exists for stream partitioning and metadata, not OS threads,
 which keeps the reduction order deterministic at no accuracy cost.
+Each worker allocates its latent and port chunk buffers once and
+refills them in place, so only the yielded block of squared gains is
+a fresh array per chunk.
 
 One private driver (_sample) owns that loop. It takes the
 latent-to-port matrix, the McConfig and a per-chunk reducer, and feeds
@@ -105,19 +108,25 @@ def _gain_chunks(mat: np.ndarray, n_rows: int, rng: np.random.Generator):
     mat maps the latent standard-normal coordinates to port amplitudes
     (Cholesky factor for the full model, U_K sqrt(L_K) for truncated).
     Two real matmuls beat one complex one and keep the arithmetic
-    bit-stable across platforms with the same BLAS.
+    bit-stable across platforms with the same BLAS. The latent and port
+    buffers are allocated once per worker and refilled in place; each
+    yielded block is a fresh array the caller may keep.
     """
-    ncols = mat.shape[1]
-    step = _chunk_rows(max(ncols, mat.shape[0]))
-    done = 0
+    nports, ncols = mat.shape
+    step = min(_chunk_rows(max(ncols, nports)), n_rows)
+    z = np.empty((step, ncols))
+    gr = np.empty((step, nports))
+    gi = np.empty((step, nports))
     root_half = math.sqrt(0.5)
+    done = 0
     while done < n_rows:
         m = min(step, n_rows - done)
-        zr = rng.standard_normal((m, ncols)) * root_half
-        zi = rng.standard_normal((m, ncols)) * root_half
-        gr = zr @ mat.T
-        gi = zi @ mat.T
-        yield gr * gr + gi * gi
+        for g in (gr[:m], gi[:m]):  # real part first, then imaginary
+            rng.standard_normal(out=z[:m])
+            z[:m] *= root_half
+            np.matmul(z[:m], mat.T, out=g)
+            np.square(g, out=g)
+        yield gr[:m] + gi[:m]
         done += m
 
 

@@ -322,10 +322,15 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     """Gauss-Laguerre rule for weight e^{-t} on [0, inf).
 
     Used by the equi-correlated CDF expectation. Standard numpy
-    implementation; nodes come out ascending already.
+    implementation; nodes come out ascending already. Orders whose
+    nodes or weights come out non-finite (187 and up on NumPy 2.4,
+    where the weights' normalisation overflows) raise DomainError.
     """
     order = int(order)
     if not (1 <= order <= 256):
         raise DomainError(f"gauss_laguerre order must be in [1, 256], got {order}")
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nodes, weights = np.polynomial.laguerre.laggauss(order)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise DomainError(f"gauss_laguerre order {order} gives non-finite nodes or weights")
     return QuadratureRule(order=order, nodes=nodes, weights=weights)

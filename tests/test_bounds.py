@@ -108,6 +108,11 @@ class TestExact:
     def test_always_a_probability(self, x, rho, N):
         assert 0.0 <= equicorr_cdf_exact(x, rho, N) <= 1.0
 
+    def test_non_finite_quadrature_rule_rejected(self):
+        # order 187 used to come back as a silent 0.0 through the clamp
+        with pytest.raises(DomainError):
+            equicorr_cdf_exact(1.0, 0.5, 10, quad_points=187)
+
 
 class TestRhoExtremes:
     def test_frozen_reference(self):

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from fas_extremes.cli import EXPERIMENTS, _join_valued_flags, main
+from fas_extremes.cli import DEFAULT_WORKERS, EXPERIMENTS, _join_valued_flags, main
 
 
 def run(tmp_path, *argv):
@@ -78,6 +78,15 @@ class TestDeterminism:
         monkeypatch.delenv("FAS_SEED", raising=False)
         rc, out = run(tmp_path, "psd")
         assert any(ln == "# seed: 42\n" for ln in body_lines(out))
+
+    def test_default_workers_ignore_cpu_count(self, tmp_path, monkeypatch):
+        headers = []
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            rc, out = run(tmp_path, "psd")
+            assert rc == 0
+            headers += [ln for ln in body_lines(out) if ln.startswith("# workers:")]
+        assert headers == [f"# workers: {DEFAULT_WORKERS}\n"] * 2
 
 
 class TestFlagPreprocessing:

@@ -226,6 +226,27 @@ class TestMarginals:
                 assert abs(p - truth) <= 3.0 * se
 
 
+class TestGainChunks:
+    @pytest.mark.parametrize("rank", [6, 2])
+    def test_reused_buffers_match_fresh_products(self, monkeypatch, rank):
+        # the chunk buffers are refilled in place; every yielded block must
+        # still equal the fresh-array products of the same Philox draws
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row chunks
+        config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)
+        mat = montecarlo.truncated_gain_matrix(
+            kl_truncate(eigendecompose(correlation_matrix(config)), rank)
+        )
+        chunks = list(
+            montecarlo._gain_chunks(mat, 2500, np.random.Generator(np.random.Philox(key=9)))
+        )
+        assert [c.shape for c in chunks] == [(1024, 6), (1024, 6), (452, 6)]
+        rng = np.random.Generator(np.random.Philox(key=9))
+        for gains in chunks:
+            zr = rng.standard_normal((gains.shape[0], rank)) * math.sqrt(0.5)
+            zi = rng.standard_normal((gains.shape[0], rank)) * math.sqrt(0.5)
+            assert np.array_equal(gains, (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+
+
 class TestTruncated:
     def test_full_rank_matches_direct(self):
         config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)

@@ -264,3 +264,13 @@ class TestGaussLaguerre:
             gauss_laguerre(0)
         with pytest.raises(DomainError):
             gauss_laguerre(257)
+
+    @pytest.mark.parametrize("order", [187, 256])
+    def test_non_finite_rule_rejected(self, order):
+        with pytest.raises(DomainError):
+            gauss_laguerre(order)
+
+    def test_largest_finite_order_builds(self):
+        rule = gauss_laguerre(186)
+        assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
+        assert abs(np.sum(rule.weights) - 1.0) < 1e-10
