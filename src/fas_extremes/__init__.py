@@ -6,17 +6,18 @@ probability of best-port selection by three analytical routes plus a
 seeded Monte Carlo oracle:
 
   kernels      correlation kernels (Bessel and squared-exponential),
-               spectra, spectral moments
-  fieldmodel   port grids, correlation matrices, eigenstructure,
+               spectra, the shared second spectral moment
+  fieldmodel   correlation matrices on the port grid, eigenstructure,
                Cholesky sampling factors
-  kl_outage    rank-K eigenmode truncations: closed-form rank 1,
-               disk-intersection rank 2, tensor quadrature to rank 4
-  dof          effective degrees-of-freedom metrics
+  kl_outage    eigenmode truncations: closed-form rank 1 and
+               disk-intersection rank 2 (higher ranks go through the
+               truncated Monte Carlo sampler)
+  dof          participation ratio and the printed mode counts
   bounds       equi-correlated comparison bounds (two-sided sandwich
                and block-refined products)
-  continuum    dense-aperture extreme-value asymptotics
+  continuum    dense-aperture outage asymptotics and the crossing rate
   montecarlo   reproducible parallel-stream simulation oracle
-  specialfn    self-contained special functions and quadrature rules
+  specialfn    Bessel J0, Marcum Q1 and Gauss quadrature rules
   cli          the fas-extremes experiment driver
 """
 

@@ -53,7 +53,6 @@ class BlockPartition:
     boundaries: tuple[tuple[int, int], ...]  # half-open [start, stop) index ranges
     rho_b_min: tuple[float, ...]
     rho_cross_max: float
-    valid: bool
 
 
 def _check_rho(rho: float) -> float:
@@ -180,9 +179,8 @@ def block_refined_bound(
     kernels the family tightens from below as B grows, as measured in
     the acceptance run; the comparison alone does not imply it, since
     finer blocks raise the within-block minima but zero more pairs.
-    The partition's validity flag reports the separate precondition
-    rho_cross_max <= min_b rho_b_min; the lower bound does not rest on
-    it, and contiguous blocks of a smooth kernel never meet it.
+    The partition reports the largest cross-block |correlation|
+    rho_cross_max, which the surrogate sets to 0.
     """
     m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
     n = m.shape[0]
@@ -212,6 +210,5 @@ def block_refined_bound(
         boundaries=tuple(blocks),
         rho_b_min=tuple(rho_mins),
         rho_cross_max=cross,
-        valid=(B == 1) or cross <= min(rho_mins),
     )
     return bound, partition

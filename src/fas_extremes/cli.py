@@ -41,7 +41,7 @@ from .kernels import (
     psd,
     spectral_leakage,
 )
-from .kl_outage import outage_rank1, outage_rank2
+from .kl_outage import ThresholdSpec, outage_rank1, outage_rank2
 from .montecarlo import McConfig, simulate_outage, simulate_outage_truncated
 from .specialfn import DomainError
 
@@ -105,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.add_argument("--out", default=None, help="output CSV path")
     return p
-
-
-def _x_of(th_db: float, snr_db: float) -> float:
-    return 10.0 ** ((th_db - snr_db) / 10.0)
 
 
 def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
@@ -200,7 +196,7 @@ def _run_outage_snr(args):
         if model in (m, "both"):
             cfgm = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(m))
             factors[m] = cholesky(correlation_matrix(cfgm))
-    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     mc = {m: simulate_outage(factor, xs, cfg) for m, factor in factors.items()}
     rows = []
@@ -230,7 +226,7 @@ def _run_outage_aperture(args):
     snrs = args.snr_db or [-5.0, 0.0, 5.0]
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 + 0.25 * i for i in range(11)] if args.W is None else [args.W]
-    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
@@ -262,8 +258,8 @@ def _run_dof(args):
                 "W": W,
                 "pr_jakes": pr["jakes"],
                 "pr_gauss": pr["gauss"],
-                "asym_jakes": keff_asymptotic(CorrelationModel.JAKES, W),
-                "asym_gauss": keff_asymptotic(CorrelationModel.GAUSSIAN, W),
+                "keff_jakes": keff_asymptotic(CorrelationModel.JAKES, W),
+                "keff_gauss": keff_asymptotic(CorrelationModel.GAUSSIAN, W),
             }
         )
     return list(rows[0].keys()), rows, {}
@@ -274,7 +270,7 @@ def _run_outage_ports(args):
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [1.0, 2.0, 3.0] if args.W is None else [args.W]
     Ns = PORT_SWEEP if args.N is None else (args.N,)
-    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
@@ -302,7 +298,7 @@ def _run_kl_convergence(args):
     meta = {}
     specs = {m: _spectrum(m, N, W) for m in ("jakes", "gauss")}
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     tags = [_snr_tag(snr) for snr in snrs]
     for m in ("jakes", "gauss"):
         for tag, est in zip(tags, _mc(m, N, W, xs, cfg)):
@@ -330,7 +326,7 @@ def _run_slepian_blocks(args):
     snr = (args.snr_db or [-5.0])[0]
     if not (1 <= args.blocks <= N):
         raise DomainError(f"--blocks must be in [1, {N}], got {args.blocks}")
-    x = _x_of(args.th_db, snr)
+    x = ThresholdSpec(snr, args.th_db).x
     trials = args.trials if args.trials is not None else 1_000_000
     config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
     R = correlation_matrix(config)
@@ -345,7 +341,6 @@ def _run_slepian_blocks(args):
             {
                 "B": B,
                 "bound": bound,
-                "valid": part.valid,
                 "rho_cross_max": part.rho_cross_max,
                 "rho_b_min_smallest": min(part.rho_b_min),
             }
@@ -367,7 +362,7 @@ def _run_gauss_error(args):
     snrs = args.snr_db or [-5.0, 0.0, 5.0, 10.0]
     trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 * i for i in range(1, 11)] if args.W is None else [args.W]
-    xs = [_x_of(args.th_db, snr) for snr in snrs]
+    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:

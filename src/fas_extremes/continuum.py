@@ -3,11 +3,18 @@
 With the port grid dense enough, the best-port gain becomes the
 supremum of a smooth chi-square field over [0, W], and its exceedance
 admits closed asymptotics driven by a single kernel number, the second
-spectral moment. Two families are provided: an Euler-characteristic
-expansion (pointwise term plus a boundary-crossing term) and the
-Piterbarg/Pickands refinement for deep levels. Both are asymptotic:
-outside their validity region the raw values leave [0, 1] and are
-clamped, with the raw number and a flag preserved.
+spectral moment lambda2 = 2 pi^2 that both kernels share. The aperture
+outage is the complement of the Euler-characteristic expansion
+(pointwise term plus a boundary-crossing term), and the crossing term
+comes with a Rice level-crossing rate. Both are asymptotic: outside
+their validity region the raw outage leaves [0, 1] and is clamped,
+with the raw number and a flag preserved.
+
+Two further printed results need no code here. The Piterbarg/Pickands
+deep-tail exceedance sqrt(pi) W sqrt(u) e^{-u} is written out in
+acceptance criterion 13, which tests it against Monte Carlo. The
+effective sample count N_eff = 1 + pi sqrt(2) W x only restates the
+outage formula as P_out = 1 - e^{-x} N_eff.
 
 Known tension, kept as printed: the crossing term in the exceedance
 expansion carries W*sqrt(lambda2)*u*e^{-u} = pi*sqrt(2)*W*u*e^{-u},
@@ -26,19 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernels import LAMBDA2, ContinuumParams
+from .kernels import LAMBDA2
 from .specialfn import DomainError
 
-__all__ = [
-    "ContinuumResult",
-    "exceedance_adler_taylor",
-    "outage_continuous",
-    "rice_upcrossing_rate",
-    "exceedance_piterbarg",
-    "n_eff",
-]
-
-DEEP_REGIME_THRESHOLD = 6.0
+__all__ = ["ContinuumResult", "outage_continuous", "rice_upcrossing_rate"]
 
 
 @dataclass(frozen=True)
@@ -46,100 +44,36 @@ class ContinuumResult:
     value: float
     raw: float
     clamped: bool
-    regime_hint: str  # "moderate" or "deep"
-
-
-def _hint(level: float) -> str:
-    return "deep" if level >= DEEP_REGIME_THRESHOLD else "moderate"
-
-
-def _clamped(raw: float, level: float) -> ContinuumResult:
-    value = min(1.0, max(0.0, raw))
-    return ContinuumResult(
-        value=value, raw=raw, clamped=(value != raw), regime_hint=_hint(level)
-    )
-
-
-def exceedance_adler_taylor(u: float, W: float, lambda2: float = LAMBDA2) -> ContinuumResult:
-    """Euler-characteristic exceedance e^{-u} (1 + W sqrt(lambda2) u).
-
-    The pointwise term covers the field already above u at the left
-    edge; the length term counts mean upcrossings of the interval.
-    Valid for moderate-to-large u; small u drives the raw value past 1.
-    """
-    u = float(u)
-    W = float(W)
-    lambda2 = float(lambda2)
-    if not (u > 0) or W < 0 or lambda2 <= 0:
-        raise DomainError("need u > 0, W >= 0, lambda2 > 0")
-    raw = math.exp(-u) * (1.0 + W * math.sqrt(lambda2) * u)
-    return _clamped(raw, u)
 
 
 def outage_continuous(x: float, W: float) -> ContinuumResult:
     """Closed-form aperture outage 1 - e^{-x}(1 + pi sqrt(2) W x).
 
-    Independent of the port count and identical for both kernels (they
-    share lambda2 = 2 pi^2). The complement of the exceedance above, so
-    it fails in the same region: small x clamps to 0.
+    The complement of the Euler-characteristic exceedance
+    e^{-x} (1 + W sqrt(lambda2) x): the pointwise term covers the field
+    already above x at the left edge, the length term counts mean
+    upcrossings of the interval. Independent of the port count and
+    identical for both kernels (they share lambda2 = 2 pi^2). Valid for
+    moderate-to-large x; small x drives the exceedance past 1, and the
+    outage clamps to 0. W = 0 is the single-port limit 1 - e^{-x}.
     """
     x = float(x)
     W = float(W)
     if not (x > 0) or W < 0:
         raise DomainError("need x > 0 and W >= 0")
-    exc = exceedance_adler_taylor(x, W, LAMBDA2)
-    raw = 1.0 - exc.raw
+    exceedance = math.exp(-x) * (1.0 + W * math.sqrt(LAMBDA2) * x)
+    raw = 1.0 - exceedance
     value = min(1.0, max(0.0, raw))
-    return ContinuumResult(
-        value=value, raw=raw, clamped=(value != raw), regime_hint=_hint(x)
-    )
+    return ContinuumResult(value=value, raw=raw, clamped=(value != raw))
 
 
-def rice_upcrossing_rate(u: float, lambda2: float = LAMBDA2) -> float:
+def rice_upcrossing_rate(u: float) -> float:
     """Rate sqrt(lambda2/(2 pi)) u e^{-u} of level-u upcrossings per unit length.
 
     Expected crossings over an aperture of W wavelengths is W times
     this. See the module docstring for the prefactor caveat.
     """
     u = float(u)
-    lambda2 = float(lambda2)
-    if not (u > 0) or lambda2 <= 0:
-        raise DomainError("need u > 0 and lambda2 > 0")
-    return math.sqrt(lambda2 / (2.0 * math.pi)) * u * math.exp(-u)
-
-
-def exceedance_piterbarg(
-    u: float, W: float, params: ContinuumParams | None = None
-) -> ContinuumResult:
-    """Deep-tail exceedance H_a c^{1/a} W u^{1/a} e^{-u}.
-
-    For the supported kernels (a = 2, c = pi^2, H_2 = 1/sqrt(pi)) this
-    is sqrt(pi) W sqrt(u) e^{-u}. Lower than the Euler-characteristic
-    expansion by design: it drops the pointwise term and keeps only the
-    sharp local-maximum contribution.
-    """
-    u = float(u)
-    W = float(W)
-    if not (u > 0) or not (W > 0):
-        raise DomainError("need u > 0 and W > 0")
-    p = params if params is not None else ContinuumParams()
-    alpha = p.local_exponent_alpha
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError("local exponent alpha must lie in (0, 2]")
-    raw = p.pickands_h * p.local_coeff_c ** (1.0 / alpha) * W * u ** (1.0 / alpha)
-    raw *= math.exp(-u)
-    return _clamped(raw, u)
-
-
-def n_eff(x: float, W: float) -> float:
-    """Effective independent-sample count 1 + pi sqrt(2) W x.
-
-    The number of i.i.d. exponential draws whose maximum has the same
-    outage as the continuum formula at threshold x. Grows with x: at
-    lower SNR the spatial fluctuations contribute more diversity.
-    """
-    x = float(x)
-    W = float(W)
-    if not (x > 0) or W < 0:
-        raise DomainError("need x > 0 and W >= 0")
-    return 1.0 + math.pi * math.sqrt(2.0) * W * x
+    if not (u > 0):
+        raise DomainError(f"level u must be positive, got {u!r}")
+    return math.sqrt(LAMBDA2 / (2.0 * math.pi)) * u * math.exp(-u)

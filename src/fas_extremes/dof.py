@@ -1,35 +1,21 @@
 """Effective degrees-of-freedom metrics for the correlated aperture.
 
-Three views of "how many independent looks does the aperture give":
-the participation ratio of the eigenvalue spectrum, closed-form
-large-aperture asymptotics, and a cumulative-energy truncation rule.
+Two views of "how many independent looks does the aperture give": the
+participation ratio of the correlation matrix's eigenvalue spectrum,
+and the printed closed-form mode counts K_eff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import CorrMatrix, EigenSpectrum
+from .fieldmodel import CorrMatrix
 from .kernels import CorrelationModel
 from .specialfn import DomainError
 
-__all__ = [
-    "DofReport",
-    "participation_ratio",
-    "keff_asymptotic",
-    "energy_threshold_K",
-]
-
-
-@dataclass(frozen=True)
-class DofReport:
-    participation_ratio: float
-    asymptotic_keff: float
-    energy_threshold_k: int
-    epsilon0: float
+__all__ = ["participation_ratio", "keff_asymptotic"]
 
 
 def participation_ratio(R: CorrMatrix | np.ndarray) -> float:
@@ -46,33 +32,18 @@ def participation_ratio(R: CorrMatrix | np.ndarray) -> float:
     return float(n * n / (m * m).sum())
 
 
-def keff_asymptotic(model: CorrelationModel, W: float, ceil_variant: bool = False) -> float:
-    """Large-N effective mode count for an aperture of W wavelengths.
+def keff_asymptotic(model: CorrelationModel, W: float) -> float:
+    """Printed effective mode count K_eff for an aperture of W wavelengths.
 
     Gaussian kernel: pi*sqrt(2)*W, the printed K_eff^G. It is not the
     large-W limit of participation_ratio, which is sqrt(2 pi)*W (the
     aperture length over the correlation length of rho_G^2). Bessel
-    kernel: 2W + 1, or the integer variant 2*ceil(W) + 1 when
-    ceil_variant is set.
+    kernel: 2W + 1.
     """
     W = float(W)
     if not (W > 0) or not math.isfinite(W):
         raise DomainError(f"aperture W must be positive, got {W!r}")
     if model is CorrelationModel.GAUSSIAN:
         return math.pi * math.sqrt(2.0) * W
-    if ceil_variant:
-        return 2.0 * math.ceil(W) + 1.0
     return 2.0 * W + 1.0
 
-
-def energy_threshold_K(spec: EigenSpectrum, epsilon0: float) -> int:
-    """Smallest K whose leading eigenvalues capture (1 - epsilon0) of the trace."""
-    epsilon0 = float(epsilon0)
-    if not (0.0 < epsilon0 < 1.0):
-        raise DomainError(f"epsilon0 must lie in (0, 1), got {epsilon0!r}")
-    n = spec.dim
-    target = (1.0 - epsilon0) * n
-    running = np.cumsum(spec.eigenvalues)
-    meets = np.nonzero(running >= target)[0]
-    # eigenvalue roundoff can leave the final cumsum a hair under N
-    return int(meets[0]) + 1 if len(meets) else n

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .specialfn import DomainError, bessel_j0, erf
+from .specialfn import DomainError, bessel_j0
 
 __all__ = [
     "CorrelationModel",
-    "ContinuumParams",
     "correlation",
     "approx_error",
     "psd",
     "spectral_leakage",
-    "second_spectral_moment",
     "SingularityError",
 ]
 
@@ -46,34 +43,6 @@ class CorrelationModel(enum.Enum):
         if key in ("gaussian",):
             return cls.GAUSSIAN
         raise DomainError(f"unknown correlation model {name!r}")
-
-
-@dataclass(frozen=True)
-class ContinuumParams:
-    """Local kernel geometry feeding the extreme-value formulas.
-
-    Both supported kernels expand as rho(delta) = 1 - c|delta|^alpha + ...
-    with c = pi^2 and alpha = 2, and share lambda2 = -rho''(0) = 2 pi^2.
-    pickands_h is the Pickands constant for alpha = 2.
-    """
-
-    lambda2: float = LAMBDA2
-    local_coeff_c: float = math.pi ** 2
-    local_exponent_alpha: float = 2.0
-    pickands_h: float = 1.0 / math.sqrt(math.pi)
-
-    def __post_init__(self):
-        if not (0.0 < self.local_exponent_alpha <= 2.0):
-            raise DomainError("local exponent alpha must lie in (0, 2]")
-        if self.local_coeff_c <= 0 or self.lambda2 < 0 or self.pickands_h <= 0:
-            raise DomainError("continuum parameters out of range")
-
-    @classmethod
-    def for_model(cls, model: CorrelationModel) -> "ContinuumParams":
-        # identical for both kernels; the constructor exists so callers
-        # can ask per-model and get the shared values
-        _ = CorrelationModel(model)
-        return cls()
 
 
 def correlation(model: CorrelationModel, delta: float) -> float:
@@ -132,10 +101,5 @@ def spectral_leakage() -> float:
     spectral support, so its leakage is identically zero; this quantity
     measures what the smooth approximation adds beyond it.
     """
-    return 1.0 - erf(1.0)
+    return 1.0 - math.erf(1.0)
 
-
-def second_spectral_moment(model: CorrelationModel) -> float:
-    """-rho''(0), identical for both kernels: 2 pi^2."""
-    _ = CorrelationModel(model)
-    return LAMBDA2

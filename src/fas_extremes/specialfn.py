@@ -1,9 +1,9 @@
 """Self-contained special functions used by the outage models.
 
-Bessel J0/J1, erf, the exponential integral E1, Marcum Q1, and
-Gauss-Hermite quadrature rules. Everything here is scalar float64 math
-with no dependencies beyond the standard library; numpy enters only for
-the quadrature node containers.
+Bessel J0 (the isotropic kernel), Marcum Q1 (the equi-correlated CDF),
+and Gauss-Hermite and Gauss-Laguerre quadrature rules. The functions
+are scalar float64 math on the standard library; numpy enters only for
+the quadrature node containers and numpy's Laguerre rule.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "bessel_j0",
-    "bessel_j1",
-    "erf",
-    "exp_integral_e1",
     "marcum_q1",
     "gauss_hermite",
     "gauss_laguerre",
@@ -72,37 +69,17 @@ def bessel_j0(x: float) -> float:
             if abs(term) < 1e-17 * max(1.0, abs(total)):
                 break
         return total
-    return _hankel_j(ax, 0)
+    return _hankel_j0(ax)
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel J1. Odd in x; series/asymptotic split as for J0."""
-    x = _check_finite(x, "x")
-    ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        # (x/2) sum_k (-1)^k (x^2/4)^k / (k! (k+1)!)
-        q = 0.25 * x * x
-        term = 0.5 * x
-        total = term
-        for k in range(1, 200):
-            term *= -q / (k * (k + 1))
-            total += term
-            if abs(term) < 1e-17 * max(1.0, abs(total)):
-                break
-        return total
-    val = _hankel_j(ax, 1)
-    return val if x > 0 else -val
+def _hankel_j0(ax: float) -> float:
+    """Large-argument asymptotics for J0 via the P/Q phase expansion.
 
-
-def _hankel_j(ax: float, order: int) -> float:
-    """Large-argument asymptotics for J0/J1 via the P/Q phase expansion.
-
-    Standard form J_n(x) = sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)],
-    chi = x - (2n+1) pi/4, with P, Q summed until terms stop decreasing.
+    Standard form J0(x) = sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)],
+    chi = x - pi/4, with P, Q summed until terms stop decreasing.
     At x >= 12 the truncation floor sits near 1e-13.
     """
-    mu = 4.0 * order * order
-    chi = ax - (2 * order + 1) * math.pi / 4.0
+    chi = ax - math.pi / 4.0
     inv8x = 1.0 / (8.0 * ax)
 
     p_sum = 1.0
@@ -112,7 +89,7 @@ def _hankel_j(ax: float, order: int) -> float:
     sign = 1.0
     while True:
         # odd step extends Q, even step extends P
-        term *= (mu - (2 * k + 1) ** 2) * inv8x / (k + 1)
+        term *= -((2 * k + 1) ** 2) * inv8x / (k + 1)
         k += 1
         if k % 2 == 1:
             contrib = sign * term
@@ -125,48 +102,6 @@ def _hankel_j(ax: float, order: int) -> float:
             break
     amp = math.sqrt(2.0 / (math.pi * ax))
     return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def erf(x: float) -> float:
-    """Error function. Delegates to the C library via math.erf."""
-    x = _check_finite(x, "x")
-    return math.erf(x)
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_1^inf e^{-xt}/t dt, x > 0.
-
-    Convergent series for x <= 1, modified Lentz continued fraction above.
-    Relative error below 1e-9 across (0, 700].
-    """
-    x = float(x)
-    if not (x > 0) or not math.isfinite(x):
-        raise DomainError(f"E1 requires x > 0, got {x!r}")
-    if x <= 1.0:
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
-        total = -0.5772156649015329 - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            total -= term / k
-            if abs(term / k) < 1e-18 * abs(total):
-                break
-        return total
-    # continued fraction e^{-x}/(x + 1/(1 + 1/(x + 2/(1 + ...))))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x)
 
 
 def _log_gamma_q(s: float, z: float) -> float:

@@ -44,14 +44,17 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_compute_error_is_exit_one(self, tmp_path):
-        # more blocks than ports is a domain error inside the runner
         out = tmp_path / "bad.csv"
-        rc = main(["slepian-blocks", "--N", "20", "--blocks", "25",
-                   "--out", str(out)])
-        assert rc == 1
-        # atomic write: the failed run leaves nothing behind
-        assert not out.exists()
-        assert not list(tmp_path.iterdir())
+        for argv in (
+            # more blocks than ports is a domain error inside the runner
+            ["slepian-blocks", "--N", "20", "--blocks", "25"],
+            # a non-finite dB value has no threshold x
+            ["outage-snr", "--N", "5", "--snr-db", "inf", "--trials", "100"],
+        ):
+            assert main([*argv, "--out", str(out)]) == 1, argv
+            # atomic write: the failed run leaves nothing behind
+            assert not out.exists()
+            assert not list(tmp_path.iterdir())
 
 
 class TestDeterminism:

@@ -12,52 +12,43 @@ import math
 
 import pytest
 
-from fas_extremes.continuum import (
-    DEEP_REGIME_THRESHOLD,
-    exceedance_adler_taylor,
-    exceedance_piterbarg,
-    n_eff,
-    outage_continuous,
-    rice_upcrossing_rate,
-)
-from fas_extremes.kernels import LAMBDA2, ContinuumParams, CorrelationModel
+from fas_extremes.continuum import outage_continuous, rice_upcrossing_rate
+from fas_extremes.kernels import LAMBDA2
 from fas_extremes.specialfn import DomainError
 
 PI_ROOT2 = math.pi * math.sqrt(2.0)
 
 
 class TestAdlerTaylor:
+    """The Euler-characteristic exceedance e^-u (1 + W sqrt(lambda2) u),
+    read through outage_continuous, which returns its complement."""
+
     def test_closed_form(self):
-        r = exceedance_adler_taylor(8.0, 1.0)
-        expect = math.exp(-8.0) * (1.0 + 1.0 * math.sqrt(LAMBDA2) * 8.0)
-        assert r.value == pytest.approx(expect, rel=1e-15)
+        r = outage_continuous(8.0, 1.0)
+        exceedance = math.exp(-8.0) * (1.0 + 1.0 * math.sqrt(LAMBDA2) * 8.0)
+        assert r.value == pytest.approx(1.0 - exceedance, rel=1e-15)
         assert r.clamped is False
 
     def test_clamps_at_low_levels(self):
-        r = exceedance_adler_taylor(0.01, 1.0)
-        assert r.raw > 1.0
-        assert r.value == 1.0
+        # the exceedance passes 1, so the raw outage goes negative
+        r = outage_continuous(0.01, 1.0)
+        assert 1.0 - r.raw > 1.0
+        assert r.value == 0.0
         assert r.clamped is True
 
-    def test_regime_hint(self):
-        assert DEEP_REGIME_THRESHOLD == 6.0
-        assert exceedance_adler_taylor(8.0, 1.0).regime_hint == "deep"
-        assert exceedance_adler_taylor(2.0, 1.0).regime_hint == "moderate"
-        assert exceedance_adler_taylor(6.0, 1.0).regime_hint == "deep"
-
     def test_grows_with_aperture(self):
-        a = exceedance_adler_taylor(8.0, 1.0).value
-        b = exceedance_adler_taylor(8.0, 3.0).value
+        a = 1.0 - outage_continuous(8.0, 1.0).value
+        b = 1.0 - outage_continuous(8.0, 3.0).value
         assert b > a
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            exceedance_adler_taylor(-1.0, 1.0)
+            outage_continuous(-1.0, 1.0)
         with pytest.raises(DomainError):
-            exceedance_adler_taylor(1.0, -0.5)
-        # W = 0 is the point-aperture limit e^-u, not an error
-        assert exceedance_adler_taylor(3.0, 0.0).value == pytest.approx(
-            math.exp(-3.0), rel=1e-15
+            outage_continuous(1.0, -0.5)
+        # W = 0 is the point-aperture limit 1 - e^-u, not an error
+        assert outage_continuous(3.0, 0.0).value == pytest.approx(
+            1.0 - math.exp(-3.0), rel=1e-15
         )
 
 
@@ -75,13 +66,6 @@ class TestOutageContinuous:
         assert r.raw < 0.0
         assert r.value == 0.0
         assert r.clamped is True
-
-    def test_kernel_free(self):
-        # both kernels share lambda2, so the continuum formula cannot
-        # depend on the model at all
-        for model in CorrelationModel:
-            p = ContinuumParams.for_model(model)
-            assert p.lambda2 == LAMBDA2
 
     def test_increases_with_threshold_once_unclamped(self):
         vals = [outage_continuous(x, 1.0).value for x in (2.0, 3.0, 5.0, 8.0)]
@@ -107,44 +91,3 @@ class TestRiceRate:
     def test_domain(self):
         with pytest.raises(DomainError):
             rice_upcrossing_rate(-0.5)
-
-
-class TestPiterbarg:
-    def test_gaussian_specialization(self):
-        # H2 c^(1/2) W u^(1/2) e^-u with H2 = 1/sqrt(pi), c = pi^2
-        r = exceedance_piterbarg(8.0, 1.0)
-        expect = math.sqrt(math.pi) * math.sqrt(8.0) * math.exp(-8.0)
-        assert r.value == pytest.approx(expect, rel=1e-14)
-
-    def test_reference_value(self):
-        r = exceedance_piterbarg(4.0, 1.0)
-        assert abs(r.value - 0.06493) < 1e-5
-
-    def test_custom_params(self):
-        p = ContinuumParams(
-            lambda2=LAMBDA2,
-            local_coeff_c=math.pi**2,
-            local_exponent_alpha=2.0,
-            pickands_h=1.0 / math.sqrt(math.pi),
-        )
-        a = exceedance_piterbarg(5.0, 2.0, params=p)
-        b = exceedance_piterbarg(5.0, 2.0)
-        assert a.value == b.value
-
-    def test_below_adler_taylor_in_deep_tail(self):
-        # the refined constant trims the boundary term
-        u = 10.0
-        assert exceedance_piterbarg(u, 1.0).value < exceedance_adler_taylor(u, 1.0).value
-
-
-class TestNeff:
-    def test_reference_value(self):
-        assert n_eff(1.0, 1.0) == pytest.approx(1.0 + PI_ROOT2, rel=1e-15)
-
-    def test_single_sample_limit(self):
-        # tiny threshold or aperture leaves just the pointwise sample
-        assert n_eff(1e-12, 1.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_grows_with_both_arguments(self):
-        assert n_eff(2.0, 1.0) > n_eff(1.0, 1.0)
-        assert n_eff(1.0, 2.0) > n_eff(1.0, 1.0)

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fas_extremes.dof import (
-    DofReport,
-    energy_threshold_K,
-    keff_asymptotic,
-    participation_ratio,
-)
+from fas_extremes.dof import keff_asymptotic, participation_ratio
 from fas_extremes.fieldmodel import ApertureConfig, correlation_matrix, eigendecompose
 from fas_extremes.kernels import CorrelationModel
 from fas_extremes.specialfn import DomainError
@@ -56,48 +51,6 @@ class TestKeffAsymptotic:
         assert keff_asymptotic(CorrelationModel.JAKES, 3.0) == 7.0
         assert keff_asymptotic(CorrelationModel.JAKES, 2.5) == 6.0
 
-    def test_ceil_variant(self):
-        assert keff_asymptotic(CorrelationModel.JAKES, 2.2, ceil_variant=True) == 7.0
-
     def test_rejects_nonpositive_aperture(self):
         with pytest.raises(DomainError):
             keff_asymptotic(CorrelationModel.JAKES, 0.0)
-
-
-class TestEnergyThreshold:
-    def test_frozen_reference(self):
-        spec = eigendecompose(
-            correlation_matrix(ApertureConfig(W=2.0, N=50, model=CorrelationModel.GAUSSIAN))
-        )
-        assert energy_threshold_K(spec, 0.01) == 9
-
-    def test_identity_needs_all_modes(self):
-        spec = eigendecompose(np.eye(8))
-        assert energy_threshold_K(spec, 1e-12) == 8
-
-    def test_monotone_in_tolerance(self):
-        spec = eigendecompose(
-            correlation_matrix(ApertureConfig(W=2.0, N=30, model=CorrelationModel.GAUSSIAN))
-        )
-        ks = [energy_threshold_K(spec, eps) for eps in (0.2, 0.05, 0.01, 0.001)]
-        assert all(a <= b for a, b in zip(ks, ks[1:]))
-
-    def test_tolerance_validation(self):
-        spec = eigendecompose(np.eye(3))
-        for bad in (-0.1, 0.0, 1.0, 1.5):
-            with pytest.raises(DomainError):
-                energy_threshold_K(spec, bad)
-
-
-class TestDofReport:
-    def test_carries_fields(self):
-        r = DofReport(
-            participation_ratio=4.2,
-            asymptotic_keff=4.4,
-            energy_threshold_k=5,
-            epsilon0=0.01,
-        )
-        assert r.participation_ratio == 4.2
-        assert r.asymptotic_keff == 4.4
-        assert r.energy_threshold_k == 5
-        assert r.epsilon0 == 0.01

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from fas_extremes.kernels import (
     LAMBDA2,
-    ContinuumParams,
     CorrelationModel,
     SingularityError,
     approx_error,
     correlation,
     psd,
-    second_spectral_moment,
     spectral_leakage,
 )
-from fas_extremes.specialfn import DomainError, erf
+from fas_extremes.specialfn import DomainError
 
 
 class TestCorrelation:
@@ -124,7 +122,7 @@ class TestPsd:
 class TestSpectralLeakage:
     def test_erf_value(self):
         assert abs(spectral_leakage() - 0.1573) < 1e-4
-        assert spectral_leakage() == 1.0 - erf(1.0)
+        assert spectral_leakage() == 1.0 - math.erf(1.0)
 
     def test_matches_numeric_psd_integral(self):
         f = np.linspace(-1.0, 1.0, 400001)
@@ -135,9 +133,8 @@ class TestSpectralLeakage:
 
 class TestSecondSpectralMoment:
     def test_constant(self):
+        # -rho''(0) of both kernels; the routes below derive it per model
         assert LAMBDA2 == 2 * math.pi**2
-        for model in CorrelationModel:
-            assert second_spectral_moment(model) == LAMBDA2
 
     def test_finite_difference_route(self):
         h = 1e-4
@@ -154,32 +151,6 @@ class TestSecondSpectralMoment:
         sg = np.array([psd(CorrelationModel.GAUSSIAN, float(x)) for x in f])
         gauss = np.trapezoid((2 * math.pi * f) ** 2 * sg, f)
         assert gauss == pytest.approx(LAMBDA2, rel=1e-3)
-
-
-class TestContinuumParams:
-    def test_for_model_pins(self):
-        for model in CorrelationModel:
-            p = ContinuumParams.for_model(model)
-            assert p.lambda2 == 2 * math.pi**2
-            assert p.local_coeff_c == math.pi**2
-            assert p.local_exponent_alpha == 2.0
-            assert p.pickands_h == 1 / math.sqrt(math.pi)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ContinuumParams(
-                lambda2=-1.0,
-                local_coeff_c=math.pi**2,
-                local_exponent_alpha=2.0,
-                pickands_h=1.0,
-            )
-        with pytest.raises(DomainError):
-            ContinuumParams(
-                lambda2=1.0,
-                local_coeff_c=1.0,
-                local_exponent_alpha=2.5,
-                pickands_h=1.0,
-            )
 
 
 @given(st.floats(min_value=0.0, max_value=5.0))

@@ -2,10 +2,10 @@
 
 Each analytic route is checked against a seeded Monte Carlo run of the
 same truncated model, so formula bugs and simulator bugs cannot cancel.
-The rank-2 and rank-K evaluators integrate an indicator over quadrature
-grids, which leaves a small deterministic discretization residue on top
-of the MC band; the slack constants below reflect measured residues, not
-tuned-to-pass values.
+The rank-2 evaluator integrates an indicator over quadrature grids,
+which leaves a small deterministic discretization residue on top of the
+MC band; the slack constant below reflects the measured residue, not a
+tuned-to-pass value.
 """
 
 import math
@@ -13,29 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from fas_extremes.fieldmodel import (
-    ApertureConfig,
-    correlation_matrix,
-    eigendecompose,
-    kl_truncate,
-)
-from fas_extremes.kernels import CorrelationModel
-from fas_extremes.kl_outage import (
-    RANK_K_CAP,
-    Rank1Params,
-    ThresholdSpec,
-    ergodic_rate_rank1,
-    outage_rank1,
-    outage_rank2,
-    outage_rankK,
-)
+from fas_extremes.fieldmodel import kl_truncate
+from fas_extremes.kl_outage import ThresholdSpec, outage_rank1, outage_rank2
 from fas_extremes.montecarlo import (
     McConfig,
-    simulate_outage,
     simulate_outage_truncated,
     truncated_gain_matrix,
 )
-from fas_extremes.specialfn import DomainError, exp_integral_e1
+from fas_extremes.specialfn import DomainError
 
 
 class TestThresholdSpec:
@@ -52,9 +37,10 @@ class TestThresholdSpec:
 
 class TestRank1:
     def test_closed_form(self, gauss_spectrum_20_2):
-        p = Rank1Params.from_spectrum(gauss_spectrum_20_2)
+        lambda1 = float(gauss_spectrum_20_2.eigenvalues[0])
+        c1 = float(np.max(gauss_spectrum_20_2.eigenvectors[:, 0] ** 2))
         x = 1.0
-        expect = 1.0 - math.exp(-x / (p.lambda1 * p.c1))
+        expect = 1.0 - math.exp(-x / (lambda1 * c1))
         assert outage_rank1(gauss_spectrum_20_2, x) == expect
 
     def test_against_truncated_simulation(self, gauss_spectrum_20_2):
@@ -94,86 +80,6 @@ class TestRank2:
         p1 = outage_rank1(gauss_spectrum_20_2, x)
         p2 = outage_rank2(gauss_spectrum_20_2, x)
         assert p2 < p1
-
-
-class TestRankK:
-    def test_matches_rank2_route(self, gauss_spectrum_20_2):
-        # two independent evaluation schemes for the same K=2 model
-        x = 10**0.5
-        a = outage_rank2(gauss_spectrum_20_2, x)
-        b = outage_rankK(gauss_spectrum_20_2, 2, x, quad_order=40)
-        assert abs(a - b) < 5e-3
-
-    def test_against_truncated_simulation(self, gauss_spectrum_20_2):
-        x = 10**0.5
-        p4 = outage_rankK(gauss_spectrum_20_2, 4, x)
-        kl = kl_truncate(gauss_spectrum_20_2, 4)
-        est = simulate_outage_truncated(kl, x, McConfig(trials=400_000, seed=11))
-        assert abs(p4 - est.p) < 3 * est.std_err + 5e-3
-
-    def test_full_rank_small_aperture_matches_unconstrained_mc(self):
-        # K = N leaves nothing truncated, so the tensor quadrature must
-        # track a full-matrix simulation; 2e-2 covers the indicator
-        # quadrature residue at this order
-        cfg = ApertureConfig(W=0.5, N=4, model=CorrelationModel.GAUSSIAN)
-        R = correlation_matrix(cfg)
-        spec = eigendecompose(R)
-        for x in (0.5, 1.0, 10**0.5):
-            pk = outage_rankK(spec, 4, x, quad_order=16)
-            est = simulate_outage(R, x, McConfig(trials=200_000, seed=6))
-            assert abs(pk - est.p) < 3 * est.std_err + 2e-2
-
-    def test_rank_cap(self, gauss_spectrum_20_2):
-        assert RANK_K_CAP == 4
-        with pytest.raises(DomainError):
-            outage_rankK(gauss_spectrum_20_2, 5, 1.0)
-
-    def test_monotone_in_rank(self, gauss_spectrum_20_2):
-        x = 1.0
-        vals = [outage_rankK(gauss_spectrum_20_2, K, x) for K in (1, 2, 3, 4)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_rank1_specialization(self, gauss_spectrum_20_2):
-        a = outage_rank1(gauss_spectrum_20_2, 1.0)
-        b = outage_rankK(gauss_spectrum_20_2, 1, 1.0, quad_order=48)
-        assert abs(a - b) < 2e-3
-
-
-class TestErgodicRate:
-    def test_unit_gain_closed_form(self):
-        # lam1 c1 = 1, snr 1: rate = e * E1(1) / ln 2
-        spec = eigendecompose(np.eye(1))
-        expect = math.e * exp_integral_e1(1.0) / math.log(2.0)
-        assert ergodic_rate_rank1(spec, 1.0) == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(0.8603, abs=1e-4)
-
-    def test_against_simulation(self, gauss_spectrum_20_2):
-        rate = ergodic_rate_rank1(gauss_spectrum_20_2, 1.0)
-        mat = truncated_gain_matrix(kl_truncate(gauss_spectrum_20_2, 1))
-        from fas_extremes.fieldmodel import CholeskyFactor
-        from fas_extremes.montecarlo import simulate_ergodic_rate
-
-        mean, se = simulate_ergodic_rate(
-            CholeskyFactor(lower=mat, jitter=0.0), 1.0, McConfig(trials=300_000, seed=8)
-        )
-        assert abs(rate - mean) < 3 * se
-
-    def test_deep_snr_branch_is_continuous(self):
-        # the large-argument asymptotic takes over near beta = 700; a
-        # tight bracket across the switch must show no jump beyond the
-        # function's own slope at that point (~1.4e-3 per unit beta)
-        spec = eigendecompose(np.eye(1))
-        lo = ergodic_rate_rank1(spec, 1.0 / 699.999)
-        hi = ergodic_rate_rank1(spec, 1.0 / 700.001)
-        assert abs(lo - hi) / lo < 1e-4
-
-    def test_increases_with_snr(self, gauss_spectrum_20_2):
-        rates = [ergodic_rate_rank1(gauss_spectrum_20_2, s) for s in (0.1, 1.0, 10.0)]
-        assert rates[0] < rates[1] < rates[2]
-
-    def test_domain(self, gauss_spectrum_20_2):
-        with pytest.raises(DomainError):
-            ergodic_rate_rank1(gauss_spectrum_20_2, 0.0)
 
 
 class TestTruncatedGainMatrix:
