@@ -28,6 +28,7 @@ __all__ = [
     "KlSpec",
     "CholeskyFactor",
     "FactorizationError",
+    "port_positions",
     "correlation_matrix",
     "eigendecompose",
     "cholesky",
@@ -92,6 +93,13 @@ class CholeskyFactor:
     jitter: float = 0.0
     # jitter is the diagonal shift that made the factorization succeed;
     # zero for cleanly positive-definite input
+
+
+def port_positions(config: ApertureConfig) -> np.ndarray:
+    """Port coordinates tau_n = (n-1) W / (N-1), ascending from 0 to W."""
+    if config.N == 1:
+        return np.zeros(1)
+    return np.arange(config.N) * (config.W / (config.N - 1))
 
 
 def correlation_matrix(config: ApertureConfig) -> CorrMatrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .specialfn import DomainError, bessel_j0
+from .specialfn import DomainError, bessel_j0, erf
 
 __all__ = [
     "CorrelationModel",
@@ -101,5 +101,5 @@ def spectral_leakage() -> float:
     spectral support, so its leakage is identically zero; this quantity
     measures what the smooth approximation adds beyond it.
     """
-    return 1.0 - math.erf(1.0)
+    return 1.0 - erf(1.0)
 

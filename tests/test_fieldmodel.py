@@ -20,6 +20,7 @@ from fas_extremes.fieldmodel import (
     correlation_matrix,
     eigendecompose,
     kl_truncate,
+    port_positions,
 )
 from fas_extremes.kernels import CorrelationModel, correlation
 from fas_extremes.specialfn import DomainError
@@ -32,17 +33,31 @@ GRID = [
 ]
 
 
-class TestCorrelationMatrix:
+class TestPortPositions:
+    def test_single_port_at_origin(self):
+        cfg = ApertureConfig(W=2.0, N=1, model=CorrelationModel.JAKES)
+        assert port_positions(cfg) == [0.0]
+
+    def test_uniform_spacing_spanning_aperture(self):
+        cfg = ApertureConfig(W=3.0, N=7, model=CorrelationModel.GAUSSIAN)
+        pos = port_positions(cfg)
+        assert pos[0] == 0.0
+        assert pos[-1] == pytest.approx(3.0, abs=1e-15)
+        diffs = np.diff(pos)
+        assert np.allclose(diffs, 3.0 / 6.0, atol=1e-15)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ApertureConfig(W=0.0, N=10, model=CorrelationModel.JAKES)
         with pytest.raises(DomainError):
             ApertureConfig(W=1.0, N=0, model=CorrelationModel.JAKES)
 
+
+class TestCorrelationMatrix:
     def test_matches_kernel_entrywise(self):
         cfg = ApertureConfig(W=1.5, N=6, model=CorrelationModel.JAKES)
         R = correlation_matrix(cfg).entries
-        pos = np.arange(6) * (1.5 / 5)  # ports spaced W / (N - 1) from 0 to W
+        pos = port_positions(cfg)
         for i in range(6):
             for j in range(6):
                 expect = correlation(cfg.model, abs(pos[i] - pos[j]))

