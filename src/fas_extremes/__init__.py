@@ -7,18 +7,19 @@ seeded Monte Carlo oracle:
 
   kernels      correlation kernels (Bessel and squared-exponential),
                spectra, the shared second spectral moment
-  fieldmodel   port grids, correlation matrices, eigenstructure,
+  fieldmodel   correlation matrices on the port grid, eigenstructure,
                Cholesky sampling factors
-  kl_outage    eigenmode truncations: closed-form rank 1 (outage and
-               ergodic rate) and disk-intersection rank 2 (higher
-               ranks go through the truncated Monte Carlo sampler)
+  kl_outage    eigenmode truncations: closed-form rank 1 and
+               disk-intersection rank 2 (higher ranks go through the
+               truncated Monte Carlo sampler)
   dof          participation ratio and the printed mode counts
-  bounds       equi-correlated comparison bounds (two-sided sandwich
-               and block-refined products)
+  bounds       equi-correlated comparisons (two-sided sandwich and
+               block-refined products; Slepian's ordering, proven only
+               in special cases for complex fields)
   continuum    dense-aperture outage asymptotics and the crossing rate
   montecarlo   reproducible parallel-stream simulation oracle
-  specialfn    Bessel J0, erf, E1, Marcum Q1 and Gauss quadrature
-               rules
+  specialfn    Bessel J0, Marcum Q1, and NumPy's Gauss-Hermite and
+               Gauss-Laguerre rules
   cli          the fas-extremes experiment driver
 """
 

@@ -3,11 +3,19 @@
 The max-gain CDF of an equi-correlated Rayleigh vector admits exact
 one-dimensional evaluation; squeezing the true correlation matrix
 between equi-correlated models at the extreme off-diagonal values gives
-two-sided outage bounds, and a per-block product gives a refinable
+a two-sided outage sandwich, and a per-block product gives a refinable
 variant. Two evaluators ship for the equi-correlated CDF: a closed-form
 alternating series kept for diagnostic purposes (it fails normalization
 for rho > 0, which the validity flag reports) and the exact mixture
 representation used by all bounds.
+
+The comparison step is Slepian's inequality, which orders the maxima
+of real Gaussian vectors by their correlations. The port gains are
+moduli of a complex field, and for those correlation orders the max-gain
+CDF only along a common scaling of all correlations (Sidak 1968), not
+entry by entry. So the "bounds" are proven only in the special cases
+each function names; elsewhere their direction is only measured, and
+slepian_sandwich's upper side is measured wrong.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import CorrMatrix
 from .specialfn import DomainError, gauss_laguerre, marcum_q1
 
 __all__ = [
@@ -44,13 +51,11 @@ class SeriesCdfResult:
 class CorrelationExtremes:
     rho_min: float
     rho_max: float
-    rho_avg: float
 
 
 @dataclass(frozen=True)
 class BlockPartition:
     B: int
-    boundaries: tuple[tuple[int, int], ...]  # half-open [start, stop) index ranges
     rho_b_min: tuple[float, ...]
     rho_cross_max: float
 
@@ -117,35 +122,37 @@ def equicorr_cdf_exact(x: float, rho: float, N: int, quad_points: int = 64) -> f
     return min(1.0, max(0.0, acc))
 
 
-def rho_extremes(R: CorrMatrix | np.ndarray) -> CorrelationExtremes:
+def rho_extremes(R: np.ndarray) -> CorrelationExtremes:
     """Extremes of |R[m, n]| over the off-diagonal entries."""
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     n = m.shape[0]
     if n < 2:
         raise DomainError("correlation extremes need at least two ports")
     off = np.abs(m[~np.eye(n, dtype=bool)])
-    return CorrelationExtremes(
-        rho_min=float(off.min()),
-        rho_max=float(off.max()),
-        rho_avg=float(off.mean()),
-    )
+    return CorrelationExtremes(rho_min=float(off.min()), rho_max=float(off.max()))
 
 
-def slepian_sandwich(
-    R: CorrMatrix | np.ndarray, x: float, quad_points: int = 64
-) -> tuple[float, float]:
-    """Two-sided outage bounds from the equi-correlated extremes.
+def slepian_sandwich(R: np.ndarray, x: float, quad_points: int = 64) -> tuple[float, float]:
+    """Two-sided outage comparison from the equi-correlated extremes.
 
     Stronger equal correlation concentrates the field and raises the
-    max-gain CDF, so the minimum off-diagonal correlation bounds from
-    below and the maximum from above:
+    max-gain CDF, so the sandwich takes the minimum off-diagonal
+    |correlation| for the lower side and the maximum for the upper:
 
         F_eq(x; rho_min, N) <= P_out(x) <= F_eq(x; rho_max, N).
+
+    That ordering is Slepian's inequality for real Gaussians. For the
+    modulus of a complex field, correlation orders the CDF only along a
+    common scaling of all correlations (Sidak 1968), and |R| drops the
+    signs of negative (Jakes) correlations, so neither side is proven
+    unless R is equi-correlated. The lower side held in every
+    acceptance check; the upper side fails at Jakes, N = 10, W = 2,
+    x = 0.5: 0.0028654 against Monte Carlo 0.0029214 +- 7.0e-6.
 
     Returns (lower, upper).
     """
     ext = rho_extremes(R)
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     n = m.shape[0]
     lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n, quad_points)
     upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n, quad_points)
@@ -166,7 +173,7 @@ def _partition_indices(n: int, B: int) -> list[tuple[int, int]]:
 
 
 def block_refined_bound(
-    R: CorrMatrix | np.ndarray, x: float, B: int, quad_points: int = 64
+    R: np.ndarray, x: float, B: int, quad_points: int = 64
 ) -> tuple[float, BlockPartition]:
     """Product of per-block equi-correlated CDFs over a contiguous partition.
 
@@ -174,15 +181,20 @@ def block_refined_bound(
     smallest within-block |correlation|; singleton blocks use rho = 0.
     The product is the outage of a surrogate that lowers every
     correlation: within a block to the block minimum, across blocks to
-    0. By the comparison argument behind slepian_sandwich it is a lower
-    bound, equal to the sandwich's lower bound at B = 1. On smooth
-    kernels the family tightens from below as B grows, as measured in
-    the acceptance run; the comparison alone does not imply it, since
-    finer blocks raise the within-block minima but zero more pairs.
+    0. It equals the sandwich's lower side at B = 1. Calling it a lower
+    bound takes the same comparison as slepian_sandwich, Slepian's
+    inequality for real Gaussians, which for the modulus of a complex
+    field holds only along a common scaling of all correlations (Sidak
+    1968). It is proven only at B = N, where it is the independent-port
+    product and the Gaussian correlation inequality (Royen 2014)
+    applies; for other B it is measured, as the acceptance run does.
+    On smooth kernels the family tightens from below as B grows, also
+    only measured: finer blocks raise the within-block minima but zero
+    more pairs.
     The partition reports the largest cross-block |correlation|
     rho_cross_max, which the surrogate sets to 0.
     """
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     n = m.shape[0]
     B = int(B)
     if not (1 <= B <= n):
@@ -207,7 +219,6 @@ def block_refined_bound(
                 cross = max(cross, float(sub.max()))
     partition = BlockPartition(
         B=B,
-        boundaries=tuple(blocks),
         rho_b_min=tuple(rho_mins),
         rho_cross_max=cross,
     )

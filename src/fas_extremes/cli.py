@@ -107,15 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _matrix(model: str, N: int, W: float) -> np.ndarray:
+    return correlation_matrix(ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model)))
+
+
 def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
     """One Monte Carlo pass over the field, an estimate per threshold in xs."""
-    config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
-    return simulate_outage(cholesky(correlation_matrix(config)), xs, cfg)
+    return simulate_outage(cholesky(_matrix(model, N, W)), xs, cfg)
 
 
 def _spectrum(model: str, N: int, W: float):
-    config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
-    return eigendecompose(correlation_matrix(config))
+    return eigendecompose(_matrix(model, N, W))
 
 
 def _snr_tag(snr: float) -> str:
@@ -187,18 +189,12 @@ def _run_outage_snr(args):
     snrs = args.snr_db or [float(s) for s in range(-10, 21)]
     trials = args.trials if args.trials is not None else 100_000
     analytic_model = "jakes" if model == "jakes" else "gauss"
-    spec = _spectrum(analytic_model, N, W)
-    R_analytic = correlation_matrix(
-        ApertureConfig(W=W, N=N, model=CorrelationModel.parse(analytic_model))
-    )
-    factors = {}
-    for m in ("jakes", "gauss"):
-        if model in (m, "both"):
-            cfgm = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(m))
-            factors[m] = cholesky(correlation_matrix(cfgm))
+    # the analytic model is always one of the sampled ones
+    R = {m: _matrix(m, N, W) for m in ("jakes", "gauss") if model in (m, "both")}
+    spec = eigendecompose(R[analytic_model])
     xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    mc = {m: simulate_outage(factor, xs, cfg) for m, factor in factors.items()}
+    mc = {m: simulate_outage(cholesky(R_m), xs, cfg) for m, R_m in R.items()}
     rows = []
     for i, (snr, x) in enumerate(zip(snrs, xs)):
         row = {"snr_db": snr, "x": x}
@@ -211,7 +207,7 @@ def _run_outage_snr(args):
                 row[f"std_err_{m}"] = None
         row["rank1"] = outage_rank1(spec, x)
         row["rank2"] = outage_rank2(spec, x, quad_order=args.quad_order)
-        lo, hi = slepian_sandwich(R_analytic, x)
+        lo, hi = slepian_sandwich(R[analytic_model], x)
         row["slepian_lo"] = lo
         row["slepian_hi"] = hi
         cont = outage_continuous(x, W)
@@ -249,10 +245,7 @@ def _run_dof(args):
     Ws = [0.5 + 0.25 * i for i in range(19)] if args.W is None else [args.W]
     rows = []
     for W in Ws:
-        pr = {}
-        for m in ("jakes", "gauss"):
-            cfgm = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(m))
-            pr[m] = participation_ratio(correlation_matrix(cfgm))
+        pr = {m: participation_ratio(_matrix(m, N, W)) for m in ("jakes", "gauss")}
         rows.append(
             {
                 "W": W,
@@ -323,15 +316,17 @@ def _run_slepian_blocks(args):
         model = "gauss"
     N = args.N if args.N is not None else 20
     W = args.W if args.W is not None else 1.0
-    snr = (args.snr_db or [-5.0])[0]
+    snrs = args.snr_db or [-5.0]
+    if len(snrs) != 1:
+        raise DomainError(f"slepian-blocks takes one --snr-db value, got {len(snrs)}")
+    snr = snrs[0]
     if not (1 <= args.blocks <= N):
         raise DomainError(f"--blocks must be in [1, {N}], got {args.blocks}")
     x = ThresholdSpec(snr, args.th_db).x
     trials = args.trials if args.trials is not None else 1_000_000
-    config = ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model))
-    R = correlation_matrix(config)
+    R = _matrix(model, N, W)
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    est = simulate_outage(R, x, cfg)
+    est = simulate_outage(cholesky(R), x, cfg)
     lo, hi = slepian_sandwich(R, x)
     ext = rho_extremes(R)
     rows = []
@@ -366,15 +361,7 @@ def _run_gauss_error(args):
     cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
-        factors = {
-            m: cholesky(
-                correlation_matrix(
-                    ApertureConfig(W=W, N=N, model=CorrelationModel.parse(m))
-                )
-            )
-            for m in ("jakes", "gauss")
-        }
-        mc = {m: simulate_outage(factors[m], xs, cfg) for m in ("jakes", "gauss")}
+        mc = {m: _mc(m, N, W, xs, cfg) for m in ("jakes", "gauss")}
         for snr, x, ej, eg in zip(snrs, xs, mc["jakes"], mc["gauss"]):
             pj, pg = ej.p, eg.p
             rel = abs(pg - pj) / pj if pj > 0 else None

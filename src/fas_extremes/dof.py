@@ -11,21 +11,20 @@ import math
 
 import numpy as np
 
-from .fieldmodel import CorrMatrix
 from .kernels import CorrelationModel
 from .specialfn import DomainError
 
 __all__ = ["participation_ratio", "keff_asymptotic"]
 
 
-def participation_ratio(R: CorrMatrix | np.ndarray) -> float:
+def participation_ratio(R: np.ndarray) -> float:
     """N^2 / tr(R^2) for a unit-diagonal correlation matrix.
 
     Equals (sum lambda)^2 / sum lambda^2, computed straight from the
     entries since tr(R^2) = sum of squared entries for symmetric R.
     Lies in [1, N]: 1 for full correlation, N for identity.
     """
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     n = m.shape[0]
     if not np.allclose(np.diag(m), 1.0, atol=1e-9):
         raise DomainError("participation ratio expects a unit-diagonal matrix")

@@ -23,12 +23,10 @@ from .specialfn import DomainError
 
 __all__ = [
     "ApertureConfig",
-    "CorrMatrix",
     "EigenSpectrum",
     "KlSpec",
     "CholeskyFactor",
     "FactorizationError",
-    "port_positions",
     "correlation_matrix",
     "eigendecompose",
     "cholesky",
@@ -56,13 +54,6 @@ class ApertureConfig:
         if int(self.N) != self.N or self.N < 1:
             raise DomainError(f"port count N must be an integer >= 1, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
-
-
-@dataclass(frozen=True)
-class CorrMatrix:
-    dim: int
-    entries: np.ndarray
-    source: ApertureConfig
 
 
 @dataclass(frozen=True)
@@ -95,14 +86,7 @@ class CholeskyFactor:
     # zero for cleanly positive-definite input
 
 
-def port_positions(config: ApertureConfig) -> np.ndarray:
-    """Port coordinates tau_n = (n-1) W / (N-1), ascending from 0 to W."""
-    if config.N == 1:
-        return np.zeros(1)
-    return np.arange(config.N) * (config.W / (config.N - 1))
-
-
-def correlation_matrix(config: ApertureConfig) -> CorrMatrix:
+def correlation_matrix(config: ApertureConfig) -> np.ndarray:
     """Toeplitz correlation matrix R[m, n] = rho((m-n) W/(N-1)).
 
     Only N distinct kernel values exist on the uniform grid, so the
@@ -110,14 +94,14 @@ def correlation_matrix(config: ApertureConfig) -> CorrMatrix:
     """
     n = config.N
     if n == 1:
-        return CorrMatrix(dim=1, entries=np.ones((1, 1)), source=config)
+        return np.ones((1, 1))
     spacing = config.W / (n - 1)
     lags = np.array([correlation(config.model, k * spacing) for k in range(n)])
     idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return CorrMatrix(dim=n, entries=lags[idx], source=config)
+    return lags[idx]
 
 
-def eigendecompose(R: CorrMatrix | np.ndarray) -> EigenSpectrum:
+def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     """Full symmetric eigendecomposition with a reproducible layout.
 
     One LAPACK call (numpy.linalg.eigh). The input must be positive
@@ -139,7 +123,7 @@ def eigendecompose(R: CorrMatrix | np.ndarray) -> EigenSpectrum:
     index first. Each eigenvector's sign is fixed so its largest-
     magnitude entry is positive (earliest such entry wins on ties).
     """
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("eigendecompose expects a square matrix")
     if not np.allclose(m, m.T, atol=1e-12):
@@ -162,7 +146,7 @@ def eigendecompose(R: CorrMatrix | np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def cholesky(R: CorrMatrix | np.ndarray) -> CholeskyFactor:
+def cholesky(R: np.ndarray) -> CholeskyFactor:
     """Lower-triangular factor of R, with an escalating diagonal jitter.
 
     Correlation matrices from the Bessel kernel go numerically
@@ -170,7 +154,7 @@ def cholesky(R: CorrMatrix | np.ndarray) -> CholeskyFactor:
     shift from JITTER_LADDER. The applied shift is reported so callers
     can surface it in metadata.
     """
-    m = R.entries if isinstance(R, CorrMatrix) else np.asarray(R, dtype=float)
+    m = np.asarray(R, dtype=float)
     n = m.shape[0]
     eye = np.eye(n)
     for jit in JITTER_LADDER:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .specialfn import DomainError, bessel_j0, erf
+from .specialfn import DomainError, bessel_j0
 
 __all__ = [
     "CorrelationModel",
@@ -40,8 +40,6 @@ class CorrelationModel(enum.Enum):
         for m in cls:
             if key == m.value or key == m.name.lower():
                 return m
-        if key in ("gaussian",):
-            return cls.GAUSSIAN
         raise DomainError(f"unknown correlation model {name!r}")
 
 
@@ -101,5 +99,5 @@ def spectral_leakage() -> float:
     spectral support, so its leakage is identically zero; this quantity
     measures what the smooth approximation adds beyond it.
     """
-    return 1.0 - erf(1.0)
+    return 1.0 - math.erf(1.0)
 

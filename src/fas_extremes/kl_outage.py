@@ -5,8 +5,7 @@ K-dimensional integral over independent complex normals. Rank 1 is
 closed form and rank 2 reduces to averaging a disk-intersection
 probability over the dominant mode. Higher ranks go through the
 truncated Monte Carlo sampler (montecarlo.simulate_outage_truncated),
-which is also the arbiter for both closed routes. The rank-1 model
-also gives the mean rate in closed form (ergodic_rate_rank1).
+which is also the arbiter for both closed routes.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import EigenSpectrum
-from .specialfn import DomainError, exp_integral_e1, gauss_hermite
+from .specialfn import DomainError, gauss_hermite
 
-__all__ = ["ThresholdSpec", "outage_rank1", "outage_rank2", "ergodic_rate_rank1"]
+__all__ = ["ThresholdSpec", "outage_rank1", "outage_rank2"]
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,9 @@ def outage_rank1(spec: EigenSpectrum, x: float) -> float:
     normal, so P_out = 1 - exp(-x / (lambda1 c1)).
     """
     x = _check_x(x)
-    return 1.0 - math.exp(-x / _rank1_gain(spec))
-
-
-def _rank1_gain(spec: EigenSpectrum) -> float:
-    """lambda1 c1, the best port's mean gain under rank-1 truncation."""
     lambda1 = float(spec.eigenvalues[0])
     c1 = float(np.max(spec.eigenvectors[:, 0] ** 2))  # max_n |u_{n,1}|^2
-    return lambda1 * c1
+    return 1.0 - math.exp(-x / (lambda1 * c1))
 
 
 def outage_rank2(spec: EigenSpectrum, x: float, quad_order: int = 16) -> float:
@@ -137,21 +131,3 @@ def outage_rank2(spec: EigenSpectrum, x: float, quad_order: int = 16) -> float:
             total += w[i] * w[j] * mass
 
     return min(1.0, max(0.0, total / math.pi))
-
-
-def ergodic_rate_rank1(spec: EigenSpectrum, avg_snr: float) -> float:
-    """Mean achievable rate of the rank-1 model, bits per channel use.
-
-    E[log2(1 + snr * l1 c1 |z|^2)] = e^beta E1(beta) / ln 2 with
-    beta = 1/(snr * l1 c1). The e^beta E1(beta) product is evaluated
-    carefully for large beta where both factors are extreme.
-    """
-    avg_snr = float(avg_snr)
-    if not (avg_snr > 0) or not math.isfinite(avg_snr):
-        raise DomainError(f"avg_snr must be positive, got {avg_snr!r}")
-    beta = 1.0 / (avg_snr * _rank1_gain(spec))
-    if beta > 700.0:
-        # e^b E1(b) ~ 1/b (1 - 1/b + 2/b^2 ...) avoids overflow
-        inv = 1.0 / beta
-        return inv * (1.0 - inv + 2.0 * inv * inv) / math.log(2.0)
-    return math.exp(beta) * exp_integral_e1(beta) / math.log(2.0)

@@ -16,9 +16,8 @@ a fresh array per chunk.
 One private driver (_sample) owns that loop. It takes the
 latent-to-port matrix, the McConfig and a per-chunk reducer, and feeds
 the reducer every chunk of squared port gains in worker order. Each
-public estimator is a reducer over it: hit counts for outage, a
-mean/M2 merge (Chan et al.) for the ergodic rate and the upcrossing
-count.
+public estimator is a reducer over it: hit counts for outage and a
+mean/M2 merge (Chan et al.) for the upcrossing count.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -39,7 +38,6 @@ import numpy as np
 from .fieldmodel import (
     ApertureConfig,
     CholeskyFactor,
-    CorrMatrix,
     KlSpec,
     cholesky,
     correlation_matrix,
@@ -51,7 +49,6 @@ __all__ = [
     "OutageEstimate",
     "simulate_outage",
     "simulate_outage_truncated",
-    "simulate_ergodic_rate",
     "count_upcrossings",
     "truncated_gain_matrix",
 ]
@@ -165,12 +162,6 @@ class _Moments:
         return self.mean, math.sqrt(self.m2 / self.n / self.n)
 
 
-def _resolve_factor(R: CorrMatrix | CholeskyFactor | np.ndarray) -> CholeskyFactor:
-    if isinstance(R, CholeskyFactor):
-        return R
-    return cholesky(R)
-
-
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
@@ -210,7 +201,7 @@ def _outage(
 
 
 def simulate_outage(
-    R: CorrMatrix | CholeskyFactor | np.ndarray,
+    R: CholeskyFactor | np.ndarray,
     x: float | Sequence[float],
     cfg: McConfig,
 ) -> OutageEstimate | tuple[OutageEstimate, ...]:
@@ -219,7 +210,7 @@ def simulate_outage(
     A number x gives one OutageEstimate; a sequence gives a tuple of
     estimates in the same order, all counted from one set of draws.
     """
-    factor = _resolve_factor(R)
+    factor = R if isinstance(R, CholeskyFactor) else cholesky(R)
     return _outage(factor.lower, x, cfg, factor.jitter)
 
 
@@ -236,21 +227,6 @@ def simulate_outage_truncated(
     x is a number or a sequence of thresholds, as in simulate_outage.
     """
     return _outage(truncated_gain_matrix(kl), x, cfg, None)
-
-
-def simulate_ergodic_rate(
-    R: CorrMatrix | CholeskyFactor | np.ndarray, avg_snr: float, cfg: McConfig
-) -> tuple[float, float]:
-    """Sample mean and standard error of log2(1 + snr * max_n |g_n|^2)."""
-    avg_snr = float(avg_snr)
-    if not (avg_snr > 0) or not math.isfinite(avg_snr):
-        raise DomainError(f"avg_snr must be positive and finite, got {avg_snr!r}")
-    factor = _resolve_factor(R)
-    moments = _Moments()
-    _sample(
-        factor.lower, cfg, lambda gains: moments.add(np.log2(1.0 + avg_snr * gains.max(axis=1)))
-    )
-    return moments.mean_and_std_err()
 
 
 def count_upcrossings(

@@ -1,11 +1,9 @@
 """Self-contained special functions used by the outage models.
 
-Bessel J0 (the isotropic kernel), erf (the Gaussian kernel's spectral
-leakage), the exponential integral E1 (the rank-1 ergodic rate),
-Marcum Q1 (the equi-correlated CDF), and Gauss-Hermite and
-Gauss-Laguerre quadrature rules. The functions are scalar float64 math
-on the standard library; numpy enters only for the quadrature node
-containers and numpy's Laguerre rule.
+Bessel J0 (the isotropic kernel), Marcum Q1 (the equi-correlated CDF),
+and Gauss-Hermite and Gauss-Laguerre quadrature rules. The functions
+are scalar float64 math on the standard library; the quadrature rules
+are numpy's (Golub-Welsch) wrapped in QuadratureRule.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "bessel_j0",
-    "erf",
-    "exp_integral_e1",
     "marcum_q1",
     "gauss_hermite",
     "gauss_laguerre",
@@ -106,48 +102,6 @@ def _hankel_j0(ax: float) -> float:
             break
     amp = math.sqrt(2.0 / (math.pi * ax))
     return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def erf(x: float) -> float:
-    """Error function. Delegates to the C library via math.erf."""
-    x = _check_finite(x, "x")
-    return math.erf(x)
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_1^inf e^{-xt}/t dt, x > 0.
-
-    Convergent series for x <= 1, modified Lentz continued fraction above.
-    Relative error below 1e-9 across (0, 700].
-    """
-    x = float(x)
-    if not (x > 0) or not math.isfinite(x):
-        raise DomainError(f"E1 requires x > 0, got {x!r}")
-    if x <= 1.0:
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
-        total = -0.5772156649015329 - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            total -= term / k
-            if abs(term / k) < 1e-18 * abs(total):
-                break
-        return total
-    # continued fraction e^{-x}/(x + 1/(1 + 1/(x + 2/(1 + ...))))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x)
 
 
 def _log_gamma_q(s: float, z: float) -> float:
@@ -251,52 +205,14 @@ def marcum_q1(a: float, b: float) -> float:
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^{-t^2} on the real line.
 
-    Newton iteration on the orthonormal Hermite three-term recurrence
-    with the usual asymptotic initial guesses; only the upper half is
-    computed, the rest follows by symmetry. Exact for polynomials of
-    degree <= 2Q - 1. Q is capped at 64.
+    Standard numpy implementation; nodes come out ascending. Exact for
+    polynomials of degree <= 2Q - 1. Q is capped at 64.
     """
     order = int(order)
     if not (1 <= order <= 64):
         raise DomainError(f"gauss_hermite order must be in [1, 64], got {order}")
-
-    n = order
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    pim4 = math.pi ** -0.25
-    m = (n + 1) // 2
-    z = 0.0
-    for i in range(m):
-        # initial guesses (Stroud/Secrest), refined downward from the largest root
-        if i == 0:
-            z = math.sqrt(2.0 * n + 1.0) - 1.85575 * (2.0 * n + 1.0) ** (-1.0 / 6.0)
-        elif i == 1:
-            z -= 1.14 * n ** 0.426 / z
-        elif i == 2:
-            z = 1.86 * z - 0.86 * nodes[n - 1]
-        elif i == 3:
-            z = 1.91 * z - 0.91 * nodes[n - 2]
-        else:
-            z = 2.0 * z - nodes[n - i + 1]
-        for _ in range(100):
-            p1 = pim4
-            p2 = 0.0
-            for j in range(1, n + 1):
-                p3 = p2
-                p2 = p1
-                p1 = z * math.sqrt(2.0 / j) * p2 - math.sqrt((j - 1.0) / j) * p3
-            pp = math.sqrt(2.0 * n) * p2
-            dz = p1 / pp
-            z -= dz
-            if abs(dz) < 1e-15:
-                break
-        nodes[n - 1 - i] = z
-        nodes[i] = -z
-        weights[n - 1 - i] = 2.0 / (pp * pp)
-        weights[i] = weights[n - 1 - i]
-    if n % 2 == 1:
-        nodes[n // 2] = 0.0  # exact middle root
-    return QuadratureRule(order=n, nodes=nodes, weights=weights)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
 def gauss_laguerre(order: int) -> QuadratureRule:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fas_extremes.bounds import (
+    _partition_indices,
     block_refined_bound,
     equicorr_cdf_exact,
     equicorr_cdf_series,
@@ -120,7 +121,7 @@ class TestRhoExtremes:
         ext = rho_extremes(R)
         assert ext.rho_max == pytest.approx(0.9060180557889229, rel=1e-12)
         assert abs(ext.rho_max - 0.9061) < 5e-4
-        assert 0.0 <= ext.rho_min <= ext.rho_avg <= ext.rho_max
+        assert 0.0 <= ext.rho_min <= ext.rho_max
 
     def test_adjacent_ports_dominate(self):
         cfg = ApertureConfig(W=1.0, N=11, model=CorrelationModel.GAUSSIAN)
@@ -165,9 +166,8 @@ class TestBlockRefinedBound:
         assert bound == pytest.approx(lo, rel=1e-12)
         assert part.B == 1
 
-    def test_partition_sizes_near_equal(self, gauss_matrix_20_1):
-        _, part = block_refined_bound(gauss_matrix_20_1, 1.0, 8)
-        sizes = [hi - lo for lo, hi in part.boundaries]
+    def test_partition_sizes_near_equal(self):
+        sizes = [hi - lo for lo, hi in _partition_indices(20, 8)]
         assert sum(sizes) == 20
         assert max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
@@ -180,8 +180,8 @@ class TestBlockRefinedBound:
 
     def test_singleton_blocks_use_iid_factor(self):
         R = correlation_matrix(ApertureConfig(W=1.0, N=3, model=CorrelationModel.GAUSSIAN))
-        bound, part = block_refined_bound(R, 1.0, 3)
-        assert all(hi - lo == 1 for lo, hi in part.boundaries)
+        bound, _ = block_refined_bound(R, 1.0, 3)
+        assert _partition_indices(3, 3) == [(0, 1), (1, 2), (2, 3)]
         assert bound == pytest.approx(binomial_iid_cdf(1.0, 3), abs=1e-10)
 
     def test_block_count_validation(self, gauss_matrix_20_1):

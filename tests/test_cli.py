@@ -50,6 +50,8 @@ class TestExitCodes:
             ["slepian-blocks", "--N", "20", "--blocks", "25"],
             # a non-finite dB value has no threshold x
             ["outage-snr", "--N", "5", "--snr-db", "inf", "--trials", "100"],
+            # slepian-blocks evaluates one SNR and must not drop the rest
+            ["slepian-blocks", "--N", "8", "--snr-db", "-5,0", "--trials", "100"],
         ):
             assert main([*argv, "--out", str(out)]) == 1, argv
             # atomic write: the failed run leaves nothing behind

@@ -1,4 +1,4 @@
-"""Port grid, correlation matrices, eigensolver, Cholesky, KL truncation.
+"""Aperture config, correlation matrices, eigensolver, Cholesky, KL truncation.
 
 The eigensolver is checked against raw numpy.linalg.eigh across the
 configuration grid the experiments use, and against a 50-digit mpmath
@@ -20,7 +20,6 @@ from fas_extremes.fieldmodel import (
     correlation_matrix,
     eigendecompose,
     kl_truncate,
-    port_positions,
 )
 from fas_extremes.kernels import CorrelationModel, correlation
 from fas_extremes.specialfn import DomainError
@@ -33,39 +32,18 @@ GRID = [
 ]
 
 
-class TestPortPositions:
-    def test_single_port_at_origin(self):
-        cfg = ApertureConfig(W=2.0, N=1, model=CorrelationModel.JAKES)
-        assert port_positions(cfg) == [0.0]
-
-    def test_uniform_spacing_spanning_aperture(self):
-        cfg = ApertureConfig(W=3.0, N=7, model=CorrelationModel.GAUSSIAN)
-        pos = port_positions(cfg)
-        assert pos[0] == 0.0
-        assert pos[-1] == pytest.approx(3.0, abs=1e-15)
-        diffs = np.diff(pos)
-        assert np.allclose(diffs, 3.0 / 6.0, atol=1e-15)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ApertureConfig(W=0.0, N=10, model=CorrelationModel.JAKES)
-        with pytest.raises(DomainError):
-            ApertureConfig(W=1.0, N=0, model=CorrelationModel.JAKES)
-
-
 class TestCorrelationMatrix:
     def test_matches_kernel_entrywise(self):
         cfg = ApertureConfig(W=1.5, N=6, model=CorrelationModel.JAKES)
-        R = correlation_matrix(cfg).entries
-        pos = port_positions(cfg)
+        R = correlation_matrix(cfg)
         for i in range(6):
             for j in range(6):
-                expect = correlation(cfg.model, abs(pos[i] - pos[j]))
+                expect = correlation(cfg.model, abs(i - j) * 1.5 / 5)
                 assert R[i, j] == pytest.approx(expect, abs=1e-15)
 
     def test_symmetric_unit_diagonal_toeplitz(self):
         cfg = ApertureConfig(W=2.0, N=12, model=CorrelationModel.GAUSSIAN)
-        R = correlation_matrix(cfg).entries
+        R = correlation_matrix(cfg)
         assert np.array_equal(R, R.T)
         assert np.all(np.diag(R) == 1.0)
         # constant along diagonals
@@ -75,7 +53,13 @@ class TestCorrelationMatrix:
 
     def test_single_port(self):
         cfg = ApertureConfig(W=1.0, N=1, model=CorrelationModel.GAUSSIAN)
-        assert np.array_equal(correlation_matrix(cfg).entries, np.eye(1))
+        assert np.array_equal(correlation_matrix(cfg), np.eye(1))
+
+    def test_config_validation(self):
+        with pytest.raises(DomainError):
+            ApertureConfig(W=0.0, N=10, model=CorrelationModel.JAKES)
+        with pytest.raises(DomainError):
+            ApertureConfig(W=1.0, N=0, model=CorrelationModel.JAKES)
 
 
 class TestEigendecompose:
@@ -88,14 +72,14 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("N,W,model", GRID)
     def test_matches_lapack(self, N, W, model):
-        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model)).entries
+        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
         spec = eigendecompose(R)
         ref = np.linalg.eigh(R)[0][::-1]
         assert np.allclose(spec.eigenvalues, ref, atol=1e-9)
 
     def test_reconstruction_orthonormality_trace(self):
         cfg = ApertureConfig(W=2.0, N=20, model=CorrelationModel.GAUSSIAN)
-        R = correlation_matrix(cfg).entries
+        R = correlation_matrix(cfg)
         spec = eigendecompose(R)
         U = spec.eigenvectors
         lam = spec.eigenvalues
@@ -105,14 +89,14 @@ class TestEigendecompose:
 
     def test_descending_order_and_dominant_mode(self):
         for N, W, model in ((10, 1.0, CorrelationModel.JAKES), (20, 2.0, CorrelationModel.GAUSSIAN)):
-            spec = eigendecompose(correlation_matrix(ApertureConfig(W=W, N=N, model=model)).entries)
+            spec = eigendecompose(correlation_matrix(ApertureConfig(W=W, N=N, model=model)))
             lam = spec.eigenvalues
             assert np.all(np.diff(lam) <= 1e-12)
             # trace N spread over N modes puts the top one at or above 1
             assert lam[0] >= 1.0
 
     def test_sign_convention_deterministic(self):
-        R = correlation_matrix(ApertureConfig(W=1.0, N=9, model=CorrelationModel.GAUSSIAN)).entries
+        R = correlation_matrix(ApertureConfig(W=1.0, N=9, model=CorrelationModel.GAUSSIAN))
         a = eigendecompose(R).eigenvectors
         b = eigendecompose(np.array(R, copy=True)).eigenvectors
         assert np.array_equal(a, b)
@@ -130,13 +114,13 @@ class TestEigendecompose:
         ]
         for N, W in configs:
             spec = eigendecompose(
-                correlation_matrix(ApertureConfig(W=W, N=N, model=CorrelationModel.GAUSSIAN)).entries
+                correlation_matrix(ApertureConfig(W=W, N=N, model=CorrelationModel.GAUSSIAN))
             )
             assert spec.eigenvalues.min() > 0, f"N={N} W={W}"
 
     def test_smooth_decay_reference_config(self):
         spec = eigendecompose(
-            correlation_matrix(ApertureConfig(W=3.0, N=50, model=CorrelationModel.GAUSSIAN)).entries
+            correlation_matrix(ApertureConfig(W=3.0, N=50, model=CorrelationModel.GAUSSIAN))
         )
         lam = spec.eigenvalues
         assert lam.min() > 0
@@ -157,7 +141,7 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("model", list(CorrelationModel))
     def test_matches_mpmath_oracle(self, model):
-        R = correlation_matrix(ApertureConfig(W=2.0, N=20, model=model)).entries
+        R = correlation_matrix(ApertureConfig(W=2.0, N=20, model=model))
         spec = eigendecompose(R)
         with mpmath.workdps(50):
             exact, _ = mpmath.eigsy(mpmath.matrix(R.tolist()))
@@ -182,14 +166,14 @@ class TestCholesky:
         assert np.array_equal(factor.lower, np.eye(4))
 
     def test_reconstructs_input(self):
-        R = correlation_matrix(ApertureConfig(W=1.0, N=10, model=CorrelationModel.GAUSSIAN)).entries
+        R = correlation_matrix(ApertureConfig(W=1.0, N=10, model=CorrelationModel.GAUSSIAN))
         f = cholesky(R)
         assert np.max(np.abs(f.lower @ f.lower.T - (R + f.jitter * np.eye(10)))) < 1e-12
 
     def test_jitter_ladder_on_rank_deficient_kernel(self):
         # a 100-port Jakes grid is numerically singular; the ladder must
         # find a small diagonal bump rather than fail
-        R = correlation_matrix(ApertureConfig(W=1.0, N=100, model=CorrelationModel.JAKES)).entries
+        R = correlation_matrix(ApertureConfig(W=1.0, N=100, model=CorrelationModel.JAKES))
         f = cholesky(R)
         assert f.jitter == 1e-12
         assert np.all(np.isfinite(f.lower))

@@ -16,7 +16,7 @@ from fas_extremes.kernels import (
     psd,
     spectral_leakage,
 )
-from fas_extremes.specialfn import DomainError, erf
+from fas_extremes.specialfn import DomainError
 
 
 class TestCorrelation:
@@ -122,7 +122,7 @@ class TestPsd:
 class TestSpectralLeakage:
     def test_erf_value(self):
         assert abs(spectral_leakage() - 0.1573) < 1e-4
-        assert spectral_leakage() == 1.0 - erf(1.0)
+        assert spectral_leakage() == 1.0 - math.erf(1.0)
 
     def test_matches_numeric_psd_integral(self):
         f = np.linspace(-1.0, 1.0, 400001)

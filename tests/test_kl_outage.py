@@ -13,19 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from fas_extremes.fieldmodel import eigendecompose, kl_truncate
-from fas_extremes.kl_outage import (
-    ThresholdSpec,
-    ergodic_rate_rank1,
-    outage_rank1,
-    outage_rank2,
-)
+from fas_extremes.fieldmodel import kl_truncate
+from fas_extremes.kl_outage import ThresholdSpec, outage_rank1, outage_rank2
 from fas_extremes.montecarlo import (
     McConfig,
     simulate_outage_truncated,
     truncated_gain_matrix,
 )
-from fas_extremes.specialfn import DomainError, exp_integral_e1
+from fas_extremes.specialfn import DomainError
 
 
 class TestThresholdSpec:
@@ -85,43 +80,6 @@ class TestRank2:
         p1 = outage_rank1(gauss_spectrum_20_2, x)
         p2 = outage_rank2(gauss_spectrum_20_2, x)
         assert p2 < p1
-
-
-class TestErgodicRate:
-    def test_unit_gain_closed_form(self):
-        # lam1 c1 = 1, snr 1: rate = e * E1(1) / ln 2
-        spec = eigendecompose(np.eye(1))
-        expect = math.e * exp_integral_e1(1.0) / math.log(2.0)
-        assert ergodic_rate_rank1(spec, 1.0) == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(0.8603, abs=1e-4)
-
-    def test_against_simulation(self, gauss_spectrum_20_2):
-        rate = ergodic_rate_rank1(gauss_spectrum_20_2, 1.0)
-        mat = truncated_gain_matrix(kl_truncate(gauss_spectrum_20_2, 1))
-        from fas_extremes.fieldmodel import CholeskyFactor
-        from fas_extremes.montecarlo import simulate_ergodic_rate
-
-        mean, se = simulate_ergodic_rate(
-            CholeskyFactor(lower=mat, jitter=0.0), 1.0, McConfig(trials=300_000, seed=8)
-        )
-        assert abs(rate - mean) < 3 * se
-
-    def test_deep_snr_branch_is_continuous(self):
-        # the large-argument asymptotic takes over near beta = 700; a
-        # tight bracket across the switch must show no jump beyond the
-        # function's own slope at that point (~1.4e-3 per unit beta)
-        spec = eigendecompose(np.eye(1))
-        lo = ergodic_rate_rank1(spec, 1.0 / 699.999)
-        hi = ergodic_rate_rank1(spec, 1.0 / 700.001)
-        assert abs(lo - hi) / lo < 1e-4
-
-    def test_increases_with_snr(self, gauss_spectrum_20_2):
-        rates = [ergodic_rate_rank1(gauss_spectrum_20_2, s) for s in (0.1, 1.0, 10.0)]
-        assert rates[0] < rates[1] < rates[2]
-
-    def test_domain(self, gauss_spectrum_20_2):
-        with pytest.raises(DomainError):
-            ergodic_rate_rank1(gauss_spectrum_20_2, 0.0)
 
 
 class TestTruncatedGainMatrix:
