@@ -27,6 +27,9 @@ import numpy as np
 
 from .specialfn import DomainError, gauss_laguerre, marcum_q1
 
+# Gauss-Laguerre order of the common-factor mixture in equicorr_cdf_exact
+_QUAD_POINTS = 64
+
 __all__ = [
     "SeriesCdfResult",
     "CorrelationExtremes",
@@ -92,7 +95,7 @@ def equicorr_cdf_series(x: float, rho: float, N: int) -> SeriesCdfResult:
     return SeriesCdfResult(value=total, valid=valid)
 
 
-def equicorr_cdf_exact(x: float, rho: float, N: int, quad_points: int = 64) -> float:
+def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
     """Exact equi-correlated max-gain CDF via the common-factor mixture.
 
     Writing h_n = sqrt(rho) a + sqrt(1-rho) w_n with a, w_n independent
@@ -101,7 +104,8 @@ def equicorr_cdf_exact(x: float, rho: float, N: int, quad_points: int = 64) -> f
 
         F(x) = E_t [ 1 - Q1( sqrt(2 rho t/(1-rho)), sqrt(2 x/(1-rho)) ) ]^N
 
-    with Q1 the Marcum function. The expectation is a Gauss-Laguerre sum.
+    with Q1 the Marcum function. The expectation is a 64-point
+    Gauss-Laguerre sum.
     """
     rho = _check_rho(rho)
     x = float(x)
@@ -112,7 +116,7 @@ def equicorr_cdf_exact(x: float, rho: float, N: int, quad_points: int = 64) -> f
         return 0.0
     if rho < 1e-14:
         return (1.0 - math.exp(-x)) ** N
-    rule = gauss_laguerre(quad_points)
+    rule = gauss_laguerre(_QUAD_POINTS)
     b = math.sqrt(2.0 * x / (1.0 - rho))
     scale = 2.0 * rho / (1.0 - rho)
     acc = 0.0
@@ -132,7 +136,7 @@ def rho_extremes(R: np.ndarray) -> CorrelationExtremes:
     return CorrelationExtremes(rho_min=float(off.min()), rho_max=float(off.max()))
 
 
-def slepian_sandwich(R: np.ndarray, x: float, quad_points: int = 64) -> tuple[float, float]:
+def slepian_sandwich(R: np.ndarray, x: float) -> tuple[float, float]:
     """Two-sided outage comparison from the equi-correlated extremes.
 
     Stronger equal correlation concentrates the field and raises the
@@ -154,8 +158,8 @@ def slepian_sandwich(R: np.ndarray, x: float, quad_points: int = 64) -> tuple[fl
     ext = rho_extremes(R)
     m = np.asarray(R, dtype=float)
     n = m.shape[0]
-    lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n, quad_points)
-    upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n, quad_points)
+    lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n)
+    upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n)
     return lower, upper
 
 
@@ -172,9 +176,7 @@ def _partition_indices(n: int, B: int) -> list[tuple[int, int]]:
     return out
 
 
-def block_refined_bound(
-    R: np.ndarray, x: float, B: int, quad_points: int = 64
-) -> tuple[float, BlockPartition]:
+def block_refined_bound(R: np.ndarray, x: float, B: int) -> tuple[float, BlockPartition]:
     """Product of per-block equi-correlated CDFs over a contiguous partition.
 
     Each block contributes F_eq(x; rho_b_min, N_b) with rho_b_min the
@@ -210,7 +212,7 @@ def block_refined_bound(
             sub = np.abs(m[lo:hi, lo:hi])
             rb = float(sub[~np.eye(size, dtype=bool)].min())
         rho_mins.append(rb)
-        bound *= equicorr_cdf_exact(x, min(rb, 1.0 - 1e-12), size, quad_points)
+        bound *= equicorr_cdf_exact(x, min(rb, 1.0 - 1e-12), size)
     cross = 0.0
     for i, (lo_i, hi_i) in enumerate(blocks):
         for lo_j, hi_j in blocks[i + 1 :]:

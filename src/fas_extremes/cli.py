@@ -5,10 +5,12 @@ spectra, eigenstructure, outage-vs-SNR and friends) as a CSV file with
 a '#'-prefixed metadata header. Reruns with identical flags, seed, and
 workers produce byte-identical bodies; only the timestamp line moves.
 
-Exit codes: 0 success, 2 bad flags (argparse level), 1 failure during
-computation (the partially written output is removed). Cross-field
-semantic problems (say --blocks exceeding --N) surface as computation
-failures, not flag errors.
+Exit codes: 0 success, 2 bad flags (argparse level, including any
+experiment flag that EXPERIMENTS does not list for the experiment), 1
+failure during computation (the partially written output is removed).
+Cross-field semantic problems (say --blocks exceeding --N, or
+slepian-blocks --model both) surface as computation failures, not flag
+errors.
 """
 
 from __future__ import annotations
@@ -45,24 +47,12 @@ from .kl_outage import ThresholdSpec, outage_rank1, outage_rank2
 from .montecarlo import McConfig, simulate_outage, simulate_outage_truncated
 from .specialfn import DomainError
 
-EXPERIMENTS = (
-    "kernel-compare",
-    "psd",
-    "eigen",
-    "outage-snr",
-    "outage-aperture",
-    "dof",
-    "outage-ports",
-    "kl-convergence",
-    "slepian-blocks",
-    "gauss-error",
-)
-
 # Philox streams the trial budget is split into unless --workers says
 # otherwise; fixed, so one command writes one CSV on every machine
 DEFAULT_WORKERS = 8
 
 PORT_SWEEP = (3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
+
 
 
 def _fmt(v) -> str:
@@ -86,22 +76,26 @@ def _parse_snr_list(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an experiment flag is set only when given, so main can tell the
+    # flags an experiment does not read from its defaults
     p = argparse.ArgumentParser(
         prog="fas-extremes",
         description="Fluid-antenna outage experiments; writes CSV datasets.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("experiment", choices=EXPERIMENTS)
-    p.add_argument("--model", choices=("jakes", "gauss", "both"), default=None)
-    p.add_argument("--W", type=float, default=None, help="aperture in wavelengths")
-    p.add_argument("--N", type=int, default=None, help="port count")
-    p.add_argument("--snr-db", type=_parse_snr_list, default=None, metavar="LIST",
+    p.add_argument("--model", choices=("jakes", "gauss", "both"))
+    p.add_argument("--W", type=float, help="aperture in wavelengths")
+    p.add_argument("--N", type=int, help="port count")
+    p.add_argument("--snr-db", type=_parse_snr_list, metavar="LIST",
                    help="comma-separated average SNR values in dB")
-    p.add_argument("--th-db", type=float, default=0.0, help="threshold in dB")
-    p.add_argument("--K", type=int, default=None, help="truncation rank sweep limit")
-    p.add_argument("--quad-order", type=int, default=16)
-    p.add_argument("--blocks", type=int, default=8)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--th-db", type=float, help="threshold in dB")
+    p.add_argument("--K", type=int, help="truncation rank sweep limit")
+    p.add_argument("--quad-order", type=int)
+    p.add_argument("--blocks", type=int)
+    p.add_argument("--trials", type=int)
+    # a string default goes through type=int, so a bad FAS_SEED exits 2
+    p.add_argument("--seed", type=int, default=os.environ.get("FAS_SEED") or "42")
     p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.add_argument("--out", default=None, help="output CSV path")
     return p
@@ -116,16 +110,8 @@ def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
     return simulate_outage(cholesky(_matrix(model, N, W)), xs, cfg)
 
 
-def _spectrum(model: str, N: int, W: float):
-    return eigendecompose(_matrix(model, N, W))
-
-
-def _snr_tag(snr: float) -> str:
-    tag = f"{abs(snr):g}".replace(".", "_")
-    return ("m" if snr < 0 else "p") + tag
-
-
-# one function per experiment; each returns (fieldnames, rows, extra_meta)
+# one function per experiment: (flags with EXPERIMENTS' defaults filled
+# in, plus xs and cfg where it samples) -> (rows, extra_meta)
 
 def _run_kernel_compare(args):
     deltas = np.arange(0.0, 0.6 + 1e-12, 0.002)
@@ -141,7 +127,7 @@ def _run_kernel_compare(args):
                 "quartic_bound": bound,
             }
         )
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
 def _run_psd(args):
@@ -158,14 +144,13 @@ def _run_psd(args):
         rows.append(
             {"f": f, "psd_jakes": sj, "psd_gauss": psd(CorrelationModel.GAUSSIAN, f)}
         )
-    return ["f", "psd_jakes", "psd_gauss"], rows, {"spectral_leakage": spectral_leakage()}
+    return rows, {"spectral_leakage": spectral_leakage()}
 
 
 def _run_eigen(args):
-    N = args.N if args.N is not None else 50
-    W = args.W if args.W is not None else 3.0
-    spec_j = _spectrum("jakes", N, W)
-    spec_g = _spectrum("gauss", N, W)
+    N = args.N
+    spec_j = eigendecompose(_matrix("jakes", N, args.W))
+    spec_g = eigendecompose(_matrix("gauss", N, args.W))
     cum_j = np.cumsum(spec_j.eigenvalues) / N
     cum_g = np.cumsum(spec_g.eigenvalues) / N
     rows = []
@@ -179,56 +164,42 @@ def _run_eigen(args):
                 "cum_energy_gauss": float(cum_g[k]),
             }
         )
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
 def _run_outage_snr(args):
-    model = args.model or "both"
-    N = args.N if args.N is not None else 10
-    W = args.W if args.W is not None else 1.0
-    snrs = args.snr_db or [float(s) for s in range(-10, 21)]
-    trials = args.trials if args.trials is not None else 100_000
-    analytic_model = "jakes" if model == "jakes" else "gauss"
+    analytic_model = "jakes" if args.model == "jakes" else "gauss"
     # the analytic model is always one of the sampled ones
-    R = {m: _matrix(m, N, W) for m in ("jakes", "gauss") if model in (m, "both")}
+    R = {m: _matrix(m, args.N, args.W) for m in ("jakes", "gauss")
+         if args.model in (m, "both")}
     spec = eigendecompose(R[analytic_model])
-    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    mc = {m: simulate_outage(cholesky(R_m), xs, cfg) for m, R_m in R.items()}
+    mc = {m: simulate_outage(cholesky(R_m), args.xs, args.cfg) for m, R_m in R.items()}
     rows = []
-    for i, (snr, x) in enumerate(zip(snrs, xs)):
+    for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
         row = {"snr_db": snr, "x": x}
         for m in ("jakes", "gauss"):
-            if m in mc:
-                row[f"mc_{m}"] = mc[m][i].p
-                row[f"std_err_{m}"] = mc[m][i].std_err
-            else:
-                row[f"mc_{m}"] = None
-                row[f"std_err_{m}"] = None
+            est = mc[m][i] if m in mc else None
+            row[f"mc_{m}"] = None if est is None else est.p
+            row[f"std_err_{m}"] = None if est is None else est.std_err
         row["rank1"] = outage_rank1(spec, x)
         row["rank2"] = outage_rank2(spec, x, quad_order=args.quad_order)
         lo, hi = slepian_sandwich(R[analytic_model], x)
         row["slepian_lo"] = lo
         row["slepian_hi"] = hi
-        cont = outage_continuous(x, W)
+        cont = outage_continuous(x, args.W)
         row["continuum"] = cont.value
         row["continuum_clamped"] = cont.clamped
         rows.append(row)
-    names = list(rows[0].keys())
-    return names, rows, {"analytic_model": analytic_model}
+    return rows, {"analytic_model": analytic_model}
 
 
 def _run_outage_aperture(args):
-    snrs = args.snr_db or [-5.0, 0.0, 5.0]
-    trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 + 0.25 * i for i in range(11)] if args.W is None else [args.W]
-    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
-        N = args.N if args.N is not None else max(2, math.ceil(20 * W))
-        mc = {m: _mc(m, N, W, xs, cfg) for m in ("jakes", "gauss")}
-        for i, (snr, x) in enumerate(zip(snrs, xs)):
+        N = max(2, math.ceil(20 * W)) if args.N is None else args.N
+        mc = {m: _mc(m, N, W, args.xs, args.cfg) for m in ("jakes", "gauss")}
+        for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
             row = {"W": W, "N": N, "snr_db": snr, "x": x}
             for m in ("jakes", "gauss"):
                 row[f"mc_{m}"] = mc[m][i].p
@@ -237,15 +208,14 @@ def _run_outage_aperture(args):
             row["continuum"] = cont.value
             row["continuum_clamped"] = cont.clamped
             rows.append(row)
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
 def _run_dof(args):
-    N = args.N if args.N is not None else 200
     Ws = [0.5 + 0.25 * i for i in range(19)] if args.W is None else [args.W]
     rows = []
     for W in Ws:
-        pr = {m: participation_ratio(_matrix(m, N, W)) for m in ("jakes", "gauss")}
+        pr = {m: participation_ratio(_matrix(m, args.N, W)) for m in ("jakes", "gauss")}
         rows.append(
             {
                 "W": W,
@@ -255,20 +225,16 @@ def _run_dof(args):
                 "keff_gauss": keff_asymptotic(CorrelationModel.GAUSSIAN, W),
             }
         )
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
 def _run_outage_ports(args):
-    snrs = args.snr_db or [-5.0]
-    trials = args.trials if args.trials is not None else 1_000_000
     Ws = [1.0, 2.0, 3.0] if args.W is None else [args.W]
     Ns = PORT_SWEEP if args.N is None else (args.N,)
-    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
-        mc = {(N, m): _mc(m, N, W, xs, cfg) for N in Ns for m in ("jakes", "gauss")}
-        for i, (snr, x) in enumerate(zip(snrs, xs)):
+        mc = {(N, m): _mc(m, N, W, args.xs, args.cfg) for N in Ns for m in ("jakes", "gauss")}
+        for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
             cont = outage_continuous(x, W)
             for N in Ns:
                 row = {"N": N, "W": W, "snr_db": snr, "x": x}
@@ -277,24 +243,19 @@ def _run_outage_ports(args):
                     row[f"std_err_{m}"] = mc[N, m][i].std_err
                 row["continuum"] = cont.value
                 rows.append(row)
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
 def _run_kl_convergence(args):
-    N = args.N if args.N is not None else 20
-    W = args.W if args.W is not None else 2.0
-    snrs = args.snr_db or [-5.0, 5.0]
-    k_max = args.K if args.K is not None else N
-    trials = args.trials if args.trials is not None else 1_000_000
+    N = args.N
+    k_max = N if args.K is None else args.K
     if not (1 <= k_max <= N):
         raise DomainError(f"K sweep limit must be in [1, {N}], got {k_max}")
     meta = {}
-    specs = {m: _spectrum(m, N, W) for m in ("jakes", "gauss")}
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
-    tags = [_snr_tag(snr) for snr in snrs]
+    specs = {m: eigendecompose(_matrix(m, N, args.W)) for m in ("jakes", "gauss")}
+    tags = [("m" if s < 0 else "p") + f"{abs(s):g}".replace(".", "_") for s in args.snr_db]
     for m in ("jakes", "gauss"):
-        for tag, est in zip(tags, _mc(m, N, W, xs, cfg)):
+        for tag, est in zip(tags, _mc(m, N, args.W, args.xs, args.cfg)):
             meta[f"mc_full_{m}_{tag}"] = f"{est.p:.17g} (std_err {est.std_err:.3g})"
     rows = []
     for K in range(1, k_max + 1):
@@ -303,30 +264,23 @@ def _run_kl_convergence(args):
         for m in ("jakes", "gauss"):
             row[f"eps_{m}"] = kls[m].truncation_error
         for m in ("jakes", "gauss"):
-            for tag, est in zip(tags, simulate_outage_truncated(kls[m], xs, cfg)):
+            for tag, est in zip(tags, simulate_outage_truncated(kls[m], args.xs, args.cfg)):
                 row[f"trunc_{m}_{tag}"] = est.p
                 row[f"std_err_{m}_{tag}"] = est.std_err
         rows.append(row)
-    return list(rows[0].keys()), rows, meta
+    return rows, meta
 
 
 def _run_slepian_blocks(args):
-    model = args.model or "gauss"
-    if model == "both":
-        model = "gauss"
-    N = args.N if args.N is not None else 20
-    W = args.W if args.W is not None else 1.0
-    snrs = args.snr_db or [-5.0]
-    if len(snrs) != 1:
-        raise DomainError(f"slepian-blocks takes one --snr-db value, got {len(snrs)}")
-    snr = snrs[0]
-    if not (1 <= args.blocks <= N):
-        raise DomainError(f"--blocks must be in [1, {N}], got {args.blocks}")
-    x = ThresholdSpec(snr, args.th_db).x
-    trials = args.trials if args.trials is not None else 1_000_000
-    R = _matrix(model, N, W)
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
-    est = simulate_outage(cholesky(R), x, cfg)
+    if args.model == "both":
+        raise DomainError("slepian-blocks samples one model: --model must be jakes or gauss")
+    if len(args.snr_db) != 1:
+        raise DomainError(f"slepian-blocks takes one --snr-db value, got {len(args.snr_db)}")
+    if not (1 <= args.blocks <= args.N):
+        raise DomainError(f"--blocks must be in [1, {args.N}], got {args.blocks}")
+    x = args.xs[0]
+    R = _matrix(args.model, args.N, args.W)
+    est = simulate_outage(cholesky(R), x, args.cfg)
     lo, hi = slepian_sandwich(R, x)
     ext = rho_extremes(R)
     rows = []
@@ -341,7 +295,7 @@ def _run_slepian_blocks(args):
             }
         )
     meta = {
-        "model": model,
+        "model": args.model,
         "x": f"{x:.17g}",
         "sandwich_lo": f"{lo:.17g}",
         "sandwich_hi": f"{hi:.17g}",
@@ -349,20 +303,15 @@ def _run_slepian_blocks(args):
         "rho_max": f"{ext.rho_max:.17g}",
         "mc": f"{est.p:.17g} (std_err {est.std_err:.3g})",
     }
-    return list(rows[0].keys()), rows, meta
+    return rows, meta
 
 
 def _run_gauss_error(args):
-    N = args.N if args.N is not None else 20
-    snrs = args.snr_db or [-5.0, 0.0, 5.0, 10.0]
-    trials = args.trials if args.trials is not None else 1_000_000
     Ws = [0.5 * i for i in range(1, 11)] if args.W is None else [args.W]
-    xs = [ThresholdSpec(snr, args.th_db).x for snr in snrs]
-    cfg = McConfig(trials=trials, seed=args.seed, workers=args.workers)
     rows = []
     for W in Ws:
-        mc = {m: _mc(m, N, W, xs, cfg) for m in ("jakes", "gauss")}
-        for snr, x, ej, eg in zip(snrs, xs, mc["jakes"], mc["gauss"]):
+        mc = {m: _mc(m, args.N, W, args.xs, args.cfg) for m in ("jakes", "gauss")}
+        for snr, x, ej, eg in zip(args.snr_db, args.xs, mc["jakes"], mc["gauss"]):
             pj, pg = ej.p, eg.p
             rel = abs(pg - pj) / pj if pj > 0 else None
             rows.append(
@@ -379,34 +328,49 @@ def _run_gauss_error(args):
                     "rel_error": rel,
                 }
             )
-    return list(rows[0].keys()), rows, {}
+    return rows, {}
 
 
-_RUNNERS = {
-    "kernel-compare": _run_kernel_compare,
-    "psd": _run_psd,
-    "eigen": _run_eigen,
-    "outage-snr": _run_outage_snr,
-    "outage-aperture": _run_outage_aperture,
-    "dof": _run_dof,
-    "outage-ports": _run_outage_ports,
-    "kl-convergence": _run_kl_convergence,
-    "slepian-blocks": _run_slepian_blocks,
-    "gauss-error": _run_gauss_error,
+# experiment -> (runner, {flag: default} for every flag it reads). Any
+# other experiment flag exits 2. A None default is derived in the runner
+# from the other values: outage-aperture's N = max(2, ceil(20 W)),
+# outage-ports' PORT_SWEEP, kl-convergence's K = N, and a W sweep.
+EXPERIMENTS = {
+    "kernel-compare": (_run_kernel_compare, {}),
+    "psd": (_run_psd, {}),
+    "eigen": (_run_eigen, {"W": 3.0, "N": 50}),
+    "outage-snr": (_run_outage_snr, {
+        "model": "both", "W": 1.0, "N": 10, "snr_db": [float(s) for s in range(-10, 21)],
+        "th_db": 0.0, "quad_order": 16, "trials": 100_000}),
+    "outage-aperture": (_run_outage_aperture, {
+        "W": None, "N": None, "snr_db": [-5.0, 0.0, 5.0], "th_db": 0.0, "trials": 1_000_000}),
+    "dof": (_run_dof, {"W": None, "N": 200}),
+    "outage-ports": (_run_outage_ports, {
+        "W": None, "N": None, "snr_db": [-5.0], "th_db": 0.0, "trials": 1_000_000}),
+    "kl-convergence": (_run_kl_convergence, {
+        "W": 2.0, "N": 20, "snr_db": [-5.0, 5.0], "th_db": 0.0, "K": None, "trials": 1_000_000}),
+    "slepian-blocks": (_run_slepian_blocks, {
+        "model": "gauss", "W": 1.0, "N": 20, "snr_db": [-5.0], "th_db": 0.0, "blocks": 8,
+        "trials": 1_000_000}),
+    "gauss-error": (_run_gauss_error, {
+        "W": None, "N": 20, "snr_db": [-5.0, 0.0, 5.0, 10.0], "th_db": 0.0, "trials": 1_000_000}),
 }
 
 
-def _config_line(args) -> str:
+def _config_line(given: dict) -> str:
+    # perfbench/reference/*.csv pins this line: it prints the flags as given
+    # plus th_db, quad_order and blocks on every experiment, read or not.
+    # Printing only the flags an experiment reads waits for a benchmark change.
+    given = {"th_db": 0.0, "quad_order": 16, "blocks": 8, **given}
     parts = []
-    for key in ("model", "W", "N", "snr_db", "th_db", "K",
-                "quad_order", "blocks", "trials"):
-        val = getattr(args, key)
-        if val is None:
+    for key in ("model", "W", "N", "snr_db", "th_db", "K", "quad_order", "blocks", "trials"):
+        if key not in given:
             continue
+        val = given[key]
         if isinstance(val, list):
             val = ",".join(f"{v:g}" for v in val)
         parts.append(f"{key}={val}")
-    return " ".join(parts) if parts else "(defaults)"
+    return " ".join(parts)
 
 
 def _join_valued_flags(argv: list[str]) -> list[str]:
@@ -419,7 +383,7 @@ def _join_valued_flags(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--snr-db", "--th-db", "--W") and i + 1 < len(argv):
+        if tok in ("--snr-db", "--th-db") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -433,21 +397,31 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_valued_flags(list(argv)))
+    runner, defaults = EXPERIMENTS[args.experiment]
+    given = vars(args)
+    # every header records seed and workers, so every experiment takes them
+    run_level = ("experiment", "seed", "workers", "out")
+    unread = ["--" + k.replace("_", "-") for k in given if k not in (*defaults, *run_level)]
+    if unread:
+        parser.error(f"{args.experiment} does not read {', '.join(unread)}")
+    config = _config_line(given)
+    args = argparse.Namespace(**{**defaults, **given})
 
-    if args.seed is None:
-        env = os.environ.get("FAS_SEED")
-        args.seed = int(env) if env else 42
-    if args.trials is not None and args.trials < 1:
+    if "trials" in defaults and args.trials < 1:
         parser.error("--trials must be positive")
     if args.workers < 1:
         parser.error("--workers must be positive")
     out_path = args.out or f"{args.experiment}.csv"
 
     try:
-        fieldnames, rows, meta = _RUNNERS[args.experiment](args)
+        if "trials" in defaults:
+            args.xs = [ThresholdSpec(snr, args.th_db).x for snr in args.snr_db]
+            args.cfg = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
+        rows, meta = runner(args)
     except (DomainError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"fas-extremes: {args.experiment} failed: {exc}", file=sys.stderr)
         return 1
+    fieldnames = list(rows[0])
 
     out_dir = os.path.dirname(os.path.abspath(out_path))
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
@@ -455,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
             fh.write(f"# fas-extremes {__version__}\n")
             fh.write(f"# experiment: {args.experiment}\n")
-            fh.write(f"# config: {_config_line(args)}\n")
+            fh.write(f"# config: {config}\n")
             fh.write(f"# seed: {args.seed}\n")
             fh.write(f"# workers: {args.workers}\n")
             for key, val in meta.items():

@@ -1,5 +1,6 @@
-"""Experiment CLI: exit codes, output determinism, metadata, and the
-flag preprocessing that lets comma lists start with a negative number.
+"""Experiment CLI: exit codes, output determinism, metadata, the
+per-experiment flag contract, and the flag preprocessing that lets comma
+lists start with a negative number.
 
 All invocations go through main(argv) in-process; nothing here shells
 out, so the tests see the same byte stream a terminal run would produce
@@ -8,10 +9,49 @@ without paying process startup per case.
 
 import csv
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from fas_extremes.cli import DEFAULT_WORKERS, EXPERIMENTS, _join_valued_flags, main
+
+
+# the experiment flags each experiment reads: 39 of the 90 pairs
+READS = {
+    "kernel-compare": (),
+    "psd": (),
+    "eigen": ("W", "N"),
+    "outage-snr": ("model", "W", "N", "snr_db", "th_db", "quad_order", "trials"),
+    "outage-aperture": ("W", "N", "snr_db", "th_db", "trials"),
+    "dof": ("W", "N"),
+    "outage-ports": ("W", "N", "snr_db", "th_db", "trials"),
+    "kl-convergence": ("W", "N", "snr_db", "th_db", "K", "trials"),
+    "slepian-blocks": ("model", "W", "N", "snr_db", "th_db", "blocks", "trials"),
+    "gauss-error": ("W", "N", "snr_db", "th_db", "trials"),
+}
+
+# every experiment flag: (value given, value the runner should see)
+FLAG_VALUES = {
+    "model": ("jakes", "jakes"),
+    "W": ("1.5", 1.5),
+    "N": ("7", 7),
+    "snr_db": ("-3,4", [-3.0, 4.0]),
+    "th_db": ("-1", -1.0),
+    "K": ("2", 2),
+    "quad_order": ("8", 8),
+    "blocks": ("2", 2),
+    "trials": ("50", 50),
+}
+
+# the benchmark's workloads, copied from perfbench/run.py
+PERFBENCH_ARGV = {
+    "snr-sweep": ["outage-snr", "--model", "gauss", "--N", "20", "--W", "1",
+                  "--snr-db", "-10,-5,0,5,10,15,20"],
+    "dense-aperture": ["outage-aperture", "--W", "1", "--N", "200", "--snr-db", "-5,0,5"],
+    "kl-ladder": ["kl-convergence", "--N", "64", "--W", "1", "--K", "12", "--snr-db", "-5,5"],
+}
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run(tmp_path, *argv):
@@ -52,6 +92,8 @@ class TestExitCodes:
             ["outage-snr", "--N", "5", "--snr-db", "inf", "--trials", "100"],
             # slepian-blocks evaluates one SNR and must not drop the rest
             ["slepian-blocks", "--N", "8", "--snr-db", "-5,0", "--trials", "100"],
+            # ... and samples one model, so "both" must not fall back to gauss
+            ["slepian-blocks", "--N", "8", "--model", "both", "--trials", "100"],
         ):
             assert main([*argv, "--out", str(out)]) == 1, argv
             # atomic write: the failed run leaves nothing behind
@@ -63,8 +105,7 @@ class TestDeterminism:
     def test_rerun_identical_modulo_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        args = ["outage-ports", "--trials", "2000", "--workers", "2",
-                "--model", "gauss", "--W", "1"]
+        args = ["outage-ports", "--trials", "2000", "--workers", "2", "--W", "1"]
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
         assert body_lines(a) == body_lines(b)
@@ -78,6 +119,11 @@ class TestDeterminism:
         assert any(ln == "# seed: 777\n" for ln in body_lines(out))
         rc, out2 = run(tmp_path, "psd", "--seed", "5")
         assert any(ln == "# seed: 5\n" for ln in body_lines(out2))
+        monkeypatch.setenv("FAS_SEED", "abc")
+        assert run(tmp_path, "psd", "--seed", "5")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "psd")
+        assert exc.value.code == 2
 
     def test_default_seed_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FAS_SEED", raising=False)
@@ -98,8 +144,10 @@ class TestFlagPreprocessing:
     def test_join_valued_flags(self):
         assert _join_valued_flags(["--snr-db", "-5,0,5"]) == ["--snr-db=-5,0,5"]
         assert _join_valued_flags(["--snr-db=-5"]) == ["--snr-db=-5"]
+        assert _join_valued_flags(["--th-db", "-3"]) == ["--th-db=-3"]
+        # W is never negative, so argparse reads its value unaided
         assert _join_valued_flags(["--W", "1,2", "--N", "10"]) == [
-            "--W=1,2", "--N", "10"]
+            "--W", "1,2", "--N", "10"]
         assert _join_valued_flags([]) == []
         # flag at end of argv with no value: left for argparse to report
         assert _join_valued_flags(["--snr-db"]) == ["--snr-db"]
@@ -150,7 +198,9 @@ class TestOutputs:
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_every_experiment_writes_wellformed_csv(self, tmp_path, name):
-        argv = [name, "--trials", "500", "--workers", "1"]
+        argv = [name, "--workers", "1"]
+        if "trials" in READS[name]:
+            argv += ["--trials", "500"]
         if name in ("outage-snr", "outage-aperture", "outage-ports",
                     "kl-convergence"):
             argv += ["--N", "6"]
@@ -166,3 +216,46 @@ class TestOutputs:
         lines = body_lines(out)
         assert lines[0].startswith("# fas-extremes ")
         assert lines[1] == f"# experiment: {name}\n"
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("flag", FLAG_VALUES)
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_flag_taken_or_rejected(self, tmp_path, monkeypatch, capsys, name, flag):
+        given, expected = FLAG_VALUES[flag]
+        option = "--" + flag.replace("_", "-")
+        seen = {}
+
+        def fake_runner(args):
+            seen.update(vars(args))
+            return [{"col": 1}], {}
+
+        monkeypatch.setitem(EXPERIMENTS, name, (fake_runner, EXPERIMENTS[name][1]))
+        out = tmp_path / "out.csv"
+        argv = [name, option, given, "--out", str(out)]
+        if flag in READS[name]:
+            assert main(argv) == 0
+            assert seen[flag] == expected
+            assert out.exists()
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"{name} does not read {option}" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+    def test_table_lists_the_contract(self):
+        assert {name: tuple(defaults) for name, (_, defaults) in EXPERIMENTS.items()} == READS
+
+    @pytest.mark.parametrize("workload", PERFBENCH_ARGV)
+    def test_config_line_matches_benchmark_reference(self, tmp_path, workload):
+        # refcheck compares this line, minus trials=, with the reference
+        def config(path):
+            with open(path, encoding="ascii") as fh:
+                line = next(ln for ln in fh if ln.startswith("# config:"))
+            return re.sub(r" trials=\d+", "", line)
+
+        rc, out = run(tmp_path, *PERFBENCH_ARGV[workload], "--trials", "10",
+                      "--workers", "2", "--seed", "42")
+        assert rc == 0
+        assert config(out) == config(REFERENCE_DIR / f"{workload}.csv")
