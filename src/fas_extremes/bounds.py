@@ -213,12 +213,8 @@ def block_refined_bound(R: np.ndarray, x: float, B: int) -> tuple[float, BlockPa
             rb = float(sub[~np.eye(size, dtype=bool)].min())
         rho_mins.append(rb)
         bound *= equicorr_cdf_exact(x, min(rb, 1.0 - 1e-12), size)
-    cross = 0.0
-    for i, (lo_i, hi_i) in enumerate(blocks):
-        for lo_j, hi_j in blocks[i + 1 :]:
-            sub = np.abs(m[lo_i:hi_i, lo_j:hi_j])
-            if sub.size:
-                cross = max(cross, float(sub.max()))
+    label = np.repeat(np.arange(B), [hi - lo for lo, hi in blocks])
+    cross = float(np.abs(m)[label[:, None] != label[None, :]].max(initial=0.0))
     partition = BlockPartition(
         B=B,
         rho_b_min=tuple(rho_mins),

@@ -4,6 +4,8 @@ Each experiment reproduces one figure-style sweep (kernel comparison,
 spectra, eigenstructure, outage-vs-SNR and friends) as a CSV file with
 a '#'-prefixed metadata header. Reruns with identical flags, seed, and
 workers produce byte-identical bodies; only the timestamp line moves.
+`fas-extremes -h` lists each experiment's flags and defaults from
+EXPERIMENTS. The threshold is 0 dB, so x = 10^(-snr_db/10).
 
 Exit codes: 0 success, 2 bad flags (argparse level, including any
 experiment flag that EXPERIMENTS does not list for the experiment), 1
@@ -20,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+import textwrap
 from datetime import datetime, timezone
 
 import numpy as np
@@ -54,7 +57,6 @@ DEFAULT_WORKERS = 8
 PORT_SWEEP = (3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 
 
-
 def _fmt(v) -> str:
     if v is None or v == "":
         return ""
@@ -75,12 +77,30 @@ def _parse_snr_list(text: str) -> list[float]:
     return vals
 
 
+def _show(val) -> str:
+    """A flag value as the # config: line and -h print it."""
+    return ",".join(f"{v:g}" for v in val) if isinstance(val, list) else str(val)
+
+
+def _experiments_help() -> str:
+    lines = ["experiment flags and defaults (derived: swept, or set from the others):"]
+    for name, (_, defaults) in EXPERIMENTS.items():
+        flags = [f"--{k.replace('_', '-')}={'derived' if v is None else _show(v)}"
+                 for k, v in defaults.items()]
+        lines += textwrap.wrap(f"{name}: {' '.join(flags) or '(none)'}", 78, initial_indent="  ",
+                               subsequent_indent="      ", break_long_words=False,
+                               break_on_hyphens=False)
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # an experiment flag is set only when given, so main can tell the
     # flags an experiment does not read from its defaults
     p = argparse.ArgumentParser(
         prog="fas-extremes",
         description="Fluid-antenna outage experiments; writes CSV datasets.",
+        epilog=_experiments_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         argument_default=argparse.SUPPRESS,
     )
     p.add_argument("experiment", choices=EXPERIMENTS)
@@ -89,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="port count")
     p.add_argument("--snr-db", type=_parse_snr_list, metavar="LIST",
                    help="comma-separated average SNR values in dB")
-    p.add_argument("--th-db", type=float, help="threshold in dB")
     p.add_argument("--K", type=int, help="truncation rank sweep limit")
-    p.add_argument("--quad-order", type=int)
     p.add_argument("--blocks", type=int)
     p.add_argument("--trials", type=int)
     # a string default goes through type=int, so a bad FAS_SEED exits 2
@@ -182,7 +200,7 @@ def _run_outage_snr(args):
             row[f"mc_{m}"] = None if est is None else est.p
             row[f"std_err_{m}"] = None if est is None else est.std_err
         row["rank1"] = outage_rank1(spec, x)
-        row["rank2"] = outage_rank2(spec, x, quad_order=args.quad_order)
+        row["rank2"] = outage_rank2(spec, x)
         lo, hi = slepian_sandwich(R[analytic_model], x)
         row["slepian_lo"] = lo
         row["slepian_hi"] = hi
@@ -341,36 +359,29 @@ EXPERIMENTS = {
     "eigen": (_run_eigen, {"W": 3.0, "N": 50}),
     "outage-snr": (_run_outage_snr, {
         "model": "both", "W": 1.0, "N": 10, "snr_db": [float(s) for s in range(-10, 21)],
-        "th_db": 0.0, "quad_order": 16, "trials": 100_000}),
+        "trials": 100_000}),
     "outage-aperture": (_run_outage_aperture, {
-        "W": None, "N": None, "snr_db": [-5.0, 0.0, 5.0], "th_db": 0.0, "trials": 1_000_000}),
+        "W": None, "N": None, "snr_db": [-5.0, 0.0, 5.0], "trials": 1_000_000}),
     "dof": (_run_dof, {"W": None, "N": 200}),
     "outage-ports": (_run_outage_ports, {
-        "W": None, "N": None, "snr_db": [-5.0], "th_db": 0.0, "trials": 1_000_000}),
+        "W": None, "N": None, "snr_db": [-5.0], "trials": 1_000_000}),
     "kl-convergence": (_run_kl_convergence, {
-        "W": 2.0, "N": 20, "snr_db": [-5.0, 5.0], "th_db": 0.0, "K": None, "trials": 1_000_000}),
+        "W": 2.0, "N": 20, "snr_db": [-5.0, 5.0], "K": None, "trials": 1_000_000}),
     "slepian-blocks": (_run_slepian_blocks, {
-        "model": "gauss", "W": 1.0, "N": 20, "snr_db": [-5.0], "th_db": 0.0, "blocks": 8,
+        "model": "gauss", "W": 1.0, "N": 20, "snr_db": [-5.0], "blocks": 8,
         "trials": 1_000_000}),
     "gauss-error": (_run_gauss_error, {
-        "W": None, "N": 20, "snr_db": [-5.0, 0.0, 5.0, 10.0], "th_db": 0.0, "trials": 1_000_000}),
+        "W": None, "N": 20, "snr_db": [-5.0, 0.0, 5.0, 10.0], "trials": 1_000_000}),
 }
 
 
 def _config_line(given: dict) -> str:
-    # perfbench/reference/*.csv pins this line: it prints the flags as given
-    # plus th_db, quad_order and blocks on every experiment, read or not.
-    # Printing only the flags an experiment reads waits for a benchmark change.
+    # perfbench/reference/*.csv pins this line until a benchmark change: the
+    # flags as given, plus th_db, quad_order and blocks on every experiment,
+    # read or not. th_db=0.0 and quad_order=16 are the constants in force.
     given = {"th_db": 0.0, "quad_order": 16, "blocks": 8, **given}
-    parts = []
-    for key in ("model", "W", "N", "snr_db", "th_db", "K", "quad_order", "blocks", "trials"):
-        if key not in given:
-            continue
-        val = given[key]
-        if isinstance(val, list):
-            val = ",".join(f"{v:g}" for v in val)
-        parts.append(f"{key}={val}")
-    return " ".join(parts)
+    keys = ("model", "W", "N", "snr_db", "th_db", "K", "quad_order", "blocks", "trials")
+    return " ".join(f"{key}={_show(given[key])}" for key in keys if key in given)
 
 
 def _join_valued_flags(argv: list[str]) -> list[str]:
@@ -380,15 +391,11 @@ def _join_valued_flags(argv: list[str]) -> list[str]:
     values would otherwise need the '=' form; smooth that over here.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--snr-db", "--th-db") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] == "--snr-db":
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -415,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if "trials" in defaults:
-            args.xs = [ThresholdSpec(snr, args.th_db).x for snr in args.snr_db]
+            args.xs = [ThresholdSpec(snr, 0.0).x for snr in args.snr_db]
             args.cfg = McConfig(trials=args.trials, seed=args.seed, workers=args.workers)
         rows, meta = runner(args)
     except (DomainError, ArithmeticError, np.linalg.LinAlgError) as exc:

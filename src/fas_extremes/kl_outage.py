@@ -18,6 +18,9 @@ import numpy as np
 from .fieldmodel import EigenSpectrum
 from .specialfn import DomainError, gauss_hermite
 
+# Gauss-Hermite order per axis of outage_rank2's outer average over z1
+_QUAD_ORDER = 16
+
 __all__ = ["ThresholdSpec", "outage_rank1", "outage_rank2"]
 
 
@@ -56,7 +59,7 @@ def outage_rank1(spec: EigenSpectrum, x: float) -> float:
     return 1.0 - math.exp(-x / (lambda1 * c1))
 
 
-def outage_rank2(spec: EigenSpectrum, x: float, quad_order: int = 16) -> float:
+def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     """Rank-2 outage: disk-intersection probability averaged over mode 1.
 
     Conditioned on the dominant mode z1, port n is in outage iff
@@ -82,7 +85,7 @@ def outage_rank2(spec: EigenSpectrum, x: float, quad_order: int = 16) -> float:
     degenerate = np.abs(b) < 1e-12
     live = ~degenerate
 
-    rule = gauss_hermite(quad_order)
+    rule = gauss_hermite(_QUAD_ORDER)
     t, w = rule.nodes, rule.weights
     sqrt_x = math.sqrt(x)
 

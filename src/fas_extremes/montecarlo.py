@@ -16,8 +16,8 @@ a fresh array per chunk.
 One private driver (_sample) owns that loop. It takes the
 latent-to-port matrix, the McConfig and a per-chunk reducer, and feeds
 the reducer every chunk of squared port gains in worker order. Each
-public estimator is a reducer over it: hit counts for outage and a
-mean/M2 merge (Chan et al.) for the upcrossing count.
+public estimator is a reducer over it: hit counts for outage, and exact
+integer sums of the per-trial count and its square for the upcrossings.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -136,32 +136,6 @@ def _sample(mat: np.ndarray, cfg: McConfig, reduce: Callable[[np.ndarray], None]
             reduce(gains)
 
 
-class _Moments:
-    """Running count, mean and sum of squared deviations of merged chunks.
-
-    Chunks merge by the pairwise update of Chan, Golub and LeVeque, so
-    the variance never comes from the cancellation-prone E[r^2] - E[r]^2.
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        n_b = values.size
-        mean_b = float(values.mean())
-        m2_b = float(((values - mean_b) ** 2).sum())
-        n = self.n + n_b
-        delta = mean_b - self.mean
-        self.mean += delta * n_b / n
-        self.m2 += m2_b + delta * delta * self.n * n_b / n
-        self.n = n
-
-    def mean_and_std_err(self) -> tuple[float, float]:
-        return self.mean, math.sqrt(self.m2 / self.n / self.n)
-
-
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
@@ -244,11 +218,14 @@ def count_upcrossings(
     if config.N < 2:
         raise DomainError("upcrossing counting needs at least two ports")
     factor = cholesky(correlation_matrix(config))
-    moments = _Moments()
+    sums = [0, 0]  # sum(c) and sum(c*c) over trials, as Python ints
 
     def reduce(gains: np.ndarray) -> None:
         cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
-        moments.add(cross.astype(float))
+        sums[0] += int(cross.sum())
+        sums[1] += int((cross * cross).sum())
 
     _sample(factor.lower, cfg, reduce)
-    return moments.mean_and_std_err()
+    n = cfg.trials
+    s1, s2 = sums
+    return s1 / n, math.sqrt((n * s2 - s1 * s1) / n**2 / n)

@@ -172,6 +172,10 @@ class TestBlockRefinedBound:
         # than the smallest within-block one; the partition reports both
         _, part = block_refined_bound(gauss_matrix_20_1, 1.0, 4)
         assert part.rho_cross_max > min(part.rho_b_min)
+        # four blocks of five ports: the largest |R| between two blocks
+        assert part.rho_cross_max == max(
+            abs(gauss_matrix_20_1[i, j]) for i in range(20) for j in range(20) if i // 5 != j // 5)
+        assert block_refined_bound(gauss_matrix_20_1, 1.0, 1)[1].rho_cross_max == 0.0
 
     def test_singleton_blocks_use_iid_factor(self):
         R = correlation_matrix(ApertureConfig(W=1.0, N=3, model=CorrelationModel.GAUSSIAN))

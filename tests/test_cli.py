@@ -2,33 +2,37 @@
 per-experiment flag contract, and the flag preprocessing that lets comma
 lists start with a negative number.
 
-All invocations go through main(argv) in-process; nothing here shells
-out, so the tests see the same byte stream a terminal run would produce
-without paying process startup per case.
+All invocations go through main(argv) in-process, so the tests see the
+same byte stream a terminal run would produce without paying process
+startup per case. The one subprocess imports the CLI in a fresh
+interpreter to check which modules that loads.
 """
 
 import csv
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fas_extremes
 from fas_extremes.cli import DEFAULT_WORKERS, EXPERIMENTS, _join_valued_flags, main
 
 
-# the experiment flags each experiment reads: 39 of the 90 pairs
+# the experiment flags each experiment reads: 32 of the 70 pairs
 READS = {
     "kernel-compare": (),
     "psd": (),
     "eigen": ("W", "N"),
-    "outage-snr": ("model", "W", "N", "snr_db", "th_db", "quad_order", "trials"),
-    "outage-aperture": ("W", "N", "snr_db", "th_db", "trials"),
+    "outage-snr": ("model", "W", "N", "snr_db", "trials"),
+    "outage-aperture": ("W", "N", "snr_db", "trials"),
     "dof": ("W", "N"),
-    "outage-ports": ("W", "N", "snr_db", "th_db", "trials"),
-    "kl-convergence": ("W", "N", "snr_db", "th_db", "K", "trials"),
-    "slepian-blocks": ("model", "W", "N", "snr_db", "th_db", "blocks", "trials"),
-    "gauss-error": ("W", "N", "snr_db", "th_db", "trials"),
+    "outage-ports": ("W", "N", "snr_db", "trials"),
+    "kl-convergence": ("W", "N", "snr_db", "K", "trials"),
+    "slepian-blocks": ("model", "W", "N", "snr_db", "blocks", "trials"),
+    "gauss-error": ("W", "N", "snr_db", "trials"),
 }
 
 # every experiment flag: (value given, value the runner should see)
@@ -37,9 +41,7 @@ FLAG_VALUES = {
     "W": ("1.5", 1.5),
     "N": ("7", 7),
     "snr_db": ("-3,4", [-3.0, 4.0]),
-    "th_db": ("-1", -1.0),
     "K": ("2", 2),
-    "quad_order": ("8", 8),
     "blocks": ("2", 2),
     "trials": ("50", 50),
 }
@@ -144,7 +146,8 @@ class TestFlagPreprocessing:
     def test_join_valued_flags(self):
         assert _join_valued_flags(["--snr-db", "-5,0,5"]) == ["--snr-db=-5,0,5"]
         assert _join_valued_flags(["--snr-db=-5"]) == ["--snr-db=-5"]
-        assert _join_valued_flags(["--th-db", "-3"]) == ["--th-db=-3"]
+        # --th-db is gone, so it passes through for argparse to reject
+        assert _join_valued_flags(["--th-db", "-3"]) == ["--th-db", "-3"]
         # W is never negative, so argparse reads its value unaided
         assert _join_valued_flags(["--W", "1,2", "--N", "10"]) == [
             "--W", "1,2", "--N", "10"]
@@ -244,6 +247,25 @@ class TestFlagContract:
             assert f"{name} does not read {option}" in capsys.readouterr().err
             assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option", ["--th-db", "--quad-order"])
+    def test_removed_flag_exits_two(self, tmp_path, option):
+        # the threshold is 0 dB and the rank-2 rule 16 points, not flags
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "outage-snr", option, "3", "--trials", "10")
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_help_lists_each_experiments_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        epilog = capsys.readouterr().out.split("experiment flags")[1]
+        # an entry is a two-space-indented line plus its deeper continuations
+        entries = re.findall(r"^  (\S+): (.*(?:\n {3,}.*)*)", epilog, re.M)
+        listed = {name: re.findall(r"--([\w-]+)=", text) for name, text in entries}
+        assert listed == {name: [f.replace("_", "-") for f in flags]
+                          for name, flags in READS.items()}
+
     def test_table_lists_the_contract(self):
         assert {name: tuple(defaults) for name, (_, defaults) in EXPERIMENTS.items()} == READS
 
@@ -259,3 +281,17 @@ class TestFlagContract:
                       "--workers", "2", "--seed", "42")
         assert rc == 0
         assert config(out) == config(REFERENCE_DIR / f"{workload}.csv")
+
+
+def test_cli_import_loads_numpy_only():
+    # the runtime needs NumPy alone; test-only oracles must not leak in
+    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, fas_extremes.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} "
+             "& {'scipy', 'mpmath', 'hypothesis'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ or Cholesky path changed behavior, which invalidates every cross-check
 in the suite, so these comparisons are exact rather than statistical.
 """
 
+import csv
+import hashlib
 import math
 import os
 
@@ -26,14 +28,12 @@ from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
     McConfig,
     OutageEstimate,
-    _Moments,
     _sample,
     _worker_slices,
     count_upcrossings,
     simulate_outage,
     simulate_outage_truncated,
 )
-from fas_extremes.records import config_hash, read_fixtures
 from fas_extremes.specialfn import DomainError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "mc_oracle.csv")
@@ -266,18 +266,6 @@ class TestTruncated:
         assert trunc.p > full.p + 3.0 * math.hypot(full.std_err, trunc.std_err)
 
 
-class TestMoments:
-    def test_chunk_merge_survives_large_offset(self):
-        # E[r^2] - E[r]^2 loses every digit of a unit variance at 1e9
-        values = 1e9 + np.random.default_rng(0).standard_normal(30_000)
-        acc = _Moments()
-        for chunk in np.array_split(values, 7):
-            acc.add(chunk)
-        mean, se = acc.mean_and_std_err()
-        assert mean == pytest.approx(values.mean(), rel=1e-15)
-        assert se == pytest.approx(values.std() / math.sqrt(values.size), rel=1e-9)
-
-
 class TestUpcrossings:
     def test_deterministic_and_positive(self):
         config = ApertureConfig(W=1.0, N=200, model=CorrelationModel.GAUSSIAN)
@@ -293,7 +281,7 @@ class TestUpcrossings:
         assert mean == 0.0 and se == 0.0
 
     def test_std_err_matches_two_pass_on_same_draws(self, monkeypatch):
-        # three workers of 1024-row chunks: the Chan merge runs across
+        # three workers of 1024-row chunks: the moment sums run across
         # chunk and worker edges and must match one pass over all draws
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
         config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
@@ -327,22 +315,27 @@ class TestFixtureRegression:
     @staticmethod
     @pytest.fixture(scope="class")
     def stored():
-        return read_fixtures(FIXTURES)
+        with open(FIXTURES, newline="", encoding="ascii") as fh:
+            rows = list(csv.DictReader(fh))
+        by_label = {row["label"]: row for row in rows}
+        assert len(by_label) == len(rows), "duplicate fixture label"
+        return by_label
 
     @pytest.mark.parametrize("label,model,N,W,x", CASES, ids=[c[0] for c in CASES])
     def test_oracle_reproduces_bit_for_bit(self, stored, label, model, N, W, x):
         row = stored[label]
-        expected_hash = config_hash(
-            model=model.value, N=N, W=W, x=x,
-            trials=row.trials, seed=row.seed, workers=row.workers,
-        )
-        assert row.config_hash == expected_hash
+        trials, seed, workers = int(row["trials"]), int(row["seed"]), int(row["workers"])
+        # sorted keys, repr values: a type change (1 vs 1.0) changes the hash
+        config = dict(model=model.value, N=N, W=W, x=x,
+                      trials=trials, seed=seed, workers=workers)
+        canon = ";".join(f"{k}={config[k]!r}" for k in sorted(config))
+        assert row["config_hash"] == hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
         R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
-        cfg = McConfig(trials=row.trials, seed=row.seed, workers=row.workers)
+        cfg = McConfig(trials=trials, seed=seed, workers=workers)
         est = simulate_outage(R, x, cfg)
-        assert est.p == row.estimate
-        assert est.std_err == row.std_err
+        assert est.p == float(row["estimate"])
+        assert est.std_err == float(row["std_err"])
 
     def test_known_value(self, stored):
         # spot pin so the CSV itself cannot silently regenerate
-        assert stored["gauss_n10_w1_x1"].estimate == 0.119372
+        assert float(stored["gauss_n10_w1_x1"]["estimate"]) == 0.119372
