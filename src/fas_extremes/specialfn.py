@@ -1,9 +1,11 @@
 """Self-contained special functions used by the outage models.
 
 Bessel J0 (the isotropic kernel), Marcum Q1 (the equi-correlated CDF),
-and Gauss-Hermite and Gauss-Laguerre quadrature rules. The functions
-are scalar float64 math on the standard library; the quadrature rules
-are numpy's (Golub-Welsch) wrapped in QuadratureRule.
+and Gauss-Hermite and Gauss-Laguerre quadrature rules. J0 is scalar
+float64 math on the standard library. Marcum Q1 takes scalars but
+evaluates its Poisson mixture as NumPy arrays, one dot product per call.
+The quadrature rules are numpy's (Golub-Welsch) wrapped in
+QuadratureRule.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
 ]
 
 _SERIES_CUTOFF = 12.0  # power series below, Hankel asymptotics above
+_MAX_WINDOW = 1 << 20  # Poisson terms per marcum_q1 window
 
 
 class DomainError(ValueError):
@@ -104,62 +107,49 @@ def _hankel_j0(ax: float) -> float:
     return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
 
 
-def _log_gamma_q(s: float, z: float) -> float:
-    """log of the regularized upper incomplete gamma Q(s, z), s >= 1.
+def _poisson_window(lam: float) -> tuple[int, int]:
+    """First and last k of the window mean +- (10 sd + 30) of Poisson(lam)."""
+    half_width = 10.0 * math.sqrt(lam + 1.0) + 30.0
+    return max(0, int(lam - half_width)), int(lam + half_width) + 1
 
-    Series for the lower function when z < s + 1, Lentz continued
-    fraction for the upper function otherwise. Works in logs so the
-    Marcum window can run at z of order 10^4 without underflow.
+
+def _poisson_pmf(lam: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """Poisson(lam) pmf at k_lo..k_hi, lam > 0.
+
+    One lgamma at k_lo, then the log-ratio recurrence log(lam / k)
+    summed by cumsum. More than _MAX_WINDOW terms raise DomainError.
     """
-    if z <= 0.0:
-        return 0.0
-    log_prefix = s * math.log(z) - z - math.lgamma(s)
-    if z < s + 1.0:
-        # P(s,z) series, then Q = 1 - P
-        term = 1.0 / s
-        total = term
-        k = s
-        for _ in range(500):
-            k += 1.0
-            term *= z / k
-            total += term
-            if term < total * 1e-17:
-                break
-        p = math.exp(log_prefix) * total
-        if p >= 1.0:
-            return -math.inf
-        return math.log1p(-p)
-    # Q(s,z) continued fraction
-    b = z + 1.0 - s
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        a = -i * (i - s)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = b + a / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return log_prefix + math.log(h)
+    if k_hi - k_lo + 1 > _MAX_WINDOW:
+        raise DomainError(
+            f"marcum_q1: Poisson window of {k_hi - k_lo + 1} terms at mean "
+            f"{lam:.6g} exceeds the cap of {_MAX_WINDOW}"
+        )
+    log_pmf = np.empty(k_hi - k_lo + 1)
+    log_pmf[0] = k_lo * math.log(lam) - lam - math.lgamma(k_lo + 1.0)
+    log_pmf[1:] = math.log(lam) - np.log(np.arange(k_lo + 1.0, k_hi + 1.0))
+    return np.exp(np.cumsum(log_pmf))
 
 
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q function Q1(a, b).
 
-    Evaluated as a Poisson mixture of upper incomplete gamma tails,
-    Q1(a,b) = sum_k pois(k; a^2/2) Q(k+1, b^2/2), summed over a window
-    of about 10 standard deviations around the Poisson mean. The whole
-    computation runs in log space so arguments in the thousands (which
-    the equi-correlated CDF produces at high correlation) stay stable.
-    Absolute error below 1e-8.
+    Q1(a, b) = P(Y <= X) for independent X ~ Poisson(a^2/2) and
+    Y ~ Poisson(b^2/2), the Poisson mixture
+    sum_k pois(k; a^2/2) Q(k+1, b^2/2) with Q(k+1, z) the Poisson(z)
+    CDF at k. Both pmfs live on windows of about 10 standard deviations
+    around their means, so the sum is one dot product of X's pmf with
+    Y's cumulative sum (0 below Y's window, 1 above it). When Y's
+    window starts past X's end, Q1 lies within the windows' neglected
+    tails and is returned as 0. Arguments in the thousands, which the
+    equi-correlated CDF produces at high correlation, stay stable. A
+    window that would pass _MAX_WINDOW terms (a^2/2, or b^2/2 with the
+    windows overlapping, beyond about 2.7e9) raises DomainError.
+
+    Absolute error against scipy's noncentral chi-square: below 5e-12
+    for a, b <= 140, and below 9e-12 on equicorr_cdf_exact's node grid
+    up to rho = 0.973. It grows with a^2/2, to 6.1e-10 at a = 685
+    (rho = 0.999), because the log-pmf at the window start is the
+    difference of two terms near a^2/2 log(a^2/2).
     """
     a = float(a)
     b = float(b)
@@ -174,32 +164,17 @@ def marcum_q1(a: float, b: float) -> float:
     if alpha == 0.0:
         return math.exp(-beta)
 
-    half_width = 10.0 * math.sqrt(alpha + 1.0) + 30.0
-    k_lo = max(0, int(alpha - half_width))
-    k_hi = int(alpha + half_width) + 1
-
-    # Poisson log-pmf at the window start, then recur upward.
-    log_pois = k_lo * math.log(alpha) - alpha - math.lgamma(k_lo + 1.0)
-    log_q = _log_gamma_q(k_lo + 1.0, beta)
-
-    total = 0.0
-    for k in range(k_lo, k_hi + 1):
-        if log_pois > -745.0 and log_q > -745.0:
-            total += math.exp(log_pois + log_q)
-        if k < k_hi:
-            log_pois += math.log(alpha) - math.log1p(k)
-            # Q(s+1, z) = Q(s, z) + z^s e^{-z} / Gamma(s+1)
-            s = k + 1.0
-            log_inc = s * math.log(beta) - beta - math.lgamma(s + 1.0)
-            if log_inc <= log_q - 40.0:
-                # increment negligible, Q is flat to 1e-17 here
-                pass
-            else:
-                m = max(log_q, log_inc)
-                log_q = m + math.log(math.exp(log_q - m) + math.exp(log_inc - m))
-            if log_q > 0.0:
-                log_q = 0.0
-    return min(1.0, max(0.0, total))
+    kx_lo, kx_hi = _poisson_window(alpha)
+    ky_lo, ky_hi = _poisson_window(beta)
+    if ky_lo > kx_hi:
+        return 0.0
+    px = _poisson_pmf(alpha, kx_lo, kx_hi)
+    # Y's CDF is needed only up to X's last k. cdf_y[k - ky_lo + 1] is
+    # P(Y <= k), with k past either end clipped onto the padding 0 or 1.
+    py = _poisson_pmf(beta, ky_lo, min(ky_hi, kx_hi))
+    cdf_y = np.concatenate(([0.0], np.cumsum(py), [1.0]))
+    j = np.clip(np.arange(kx_lo, kx_hi + 1) - ky_lo + 1, 0, len(cdf_y) - 1)
+    return min(1.0, max(0.0, float(px @ cdf_y[j])))
 
 
 def gauss_hermite(order: int) -> QuadratureRule:

@@ -59,9 +59,20 @@ class TestSeries:
 
 
 class TestExact:
-    def test_frozen_value(self):
+    def test_frozen_value(self, gauss_matrix_20_1):
         assert equicorr_cdf_exact(1.0, 0.5, 4) == pytest.approx(
             0.23409220065617067, abs=1e-10
+        )
+        # snr-sweep's slepian_hi cells at 10 and 15 dB, as the benchmark
+        # reference holds them. These pin the shipped 64-point Laguerre
+        # sum, which misses the integrand's step here (ROADMAP item 1),
+        # not the true CDF.
+        rho_max = rho_extremes(gauss_matrix_20_1).rho_max
+        assert equicorr_cdf_exact(0.1, rho_max, 20) == pytest.approx(
+            0.0043694501204961742, rel=1e-9
+        )
+        assert equicorr_cdf_exact(10**-1.5, rho_max, 20) == pytest.approx(
+            4.8671940128161367e-09, rel=1e-9
         )
 
     def test_against_decomposition_monte_carlo(self):

@@ -96,6 +96,9 @@ class TestExitCodes:
             ["slepian-blocks", "--N", "8", "--snr-db", "-5,0", "--trials", "100"],
             # ... and samples one model, so "both" must not fall back to gauss
             ["slepian-blocks", "--N", "8", "--model", "both", "--trials", "100"],
+            # near-coincident ports clamp rho_max to 1 - 1e-12, past the
+            # Marcum window cap, which must raise rather than run for minutes
+            ["outage-snr", "--W", "1e-7", "--N", "2", "--snr-db", "0", "--trials", "1000"],
         ):
             assert main([*argv, "--out", str(out)]) == 1, argv
             # atomic write: the failed run leaves nothing behind

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fas_extremes.fieldmodel import kl_truncate
+from fas_extremes.fieldmodel import eigendecompose, kl_truncate
 from fas_extremes.kl_outage import ThresholdSpec, outage_rank1, outage_rank2
 from fas_extremes.montecarlo import (
     McConfig,
@@ -73,6 +73,20 @@ class TestRank2:
         est = simulate_outage_truncated(kl, x, McConfig(trials=400_000, seed=7))
         # 2e-3 covers the polar-grid discretization of the disk overlap
         assert abs(p2 - est.p) < 3 * est.std_err + 2e-3
+
+    def test_frozen_values(self, gauss_matrix_20_1):
+        # Pins the shipped 16-point quadrature on snr-sweep's spectrum
+        # (Gauss, N = 20, W = 1) at the benchmark reference's rank2
+        # cells. These are the quadrature's values, not the true rank-2
+        # outage, which ROADMAP item 3 replaces the quadrature to reach.
+        spec = eigendecompose(gauss_matrix_20_1)
+        for snr_db, expect in (
+            (-5.0, 0.92838492908530112),
+            (0.0, 0.41546109633147299),
+            (5.0, 0.084325864067748821),
+        ):
+            x = ThresholdSpec(avg_snr_db=snr_db, threshold_db=0.0).x
+            assert outage_rank2(spec, x) == pytest.approx(expect, rel=1e-9)
 
     def test_between_rank1_and_full(self, gauss_spectrum_20_2):
         # extra modes add diversity, so outage falls with rank
