@@ -4,20 +4,20 @@ Port gains are drawn as g = L z with L the (jittered) Cholesky factor of
 the correlation matrix and z a standard complex normal vector; real and
 imaginary parts are N(0, 1/2) each so every |g_n|^2 is exactly unit-mean
 exponential. Streams are keyed by (seed, worker) through the Philox
-counter-based generator: worker w owns a fixed slice of the trial
-budget and draws from Philox(seed).jumped(w), so any (seed, workers,
-trials) triple reproduces bit-for-bit. Workers run serially in-process;
-the knob exists for stream partitioning and metadata, not OS threads,
-which keeps the reduction order deterministic at no accuracy cost.
-Each worker allocates its latent and port chunk buffers once and
-refills them in place, so only the yielded block of squared gains is
-a fresh array per chunk.
+counter-based generator: worker w owns a fixed divmod slice of the
+trial budget and draws from Philox(seed).jumped(w), so any (seed,
+workers, trials) triple reproduces bit-for-bit. Workers run serially
+in-process; the knob exists for stream partitioning and metadata, not
+OS threads, which keeps the reduction order deterministic at no
+accuracy cost.
 
-One private driver (_sample) owns that loop. It takes the
-latent-to-port matrix, the McConfig and a per-chunk reducer, and feeds
-the reducer every chunk of squared port gains in worker order. Each
-public estimator is a reducer over it: hit counts for outage, and exact
-integer sums of the per-trial count and its square for the upcrossings.
+One private generator (_gain_chunks) yields every chunk of squared port
+gains, rows are trials, in worker order. It allocates one set of latent
+and port buffers, sized for the largest worker slice, and refills it in
+place for every worker, so only the yielded block is a fresh array per
+chunk. Each public estimator is a plain loop over those chunks: hit
+counts for outage, and exact integer sums of the per-trial count and
+its square for the upcrossings.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -30,7 +30,7 @@ pass over the field instead of one per point.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,58 +82,37 @@ class OutageEstimate:
     trials: int
     hits: int
     std_err: float
-    jitter: float | None = None
 
 
-def _worker_slices(trials: int, workers: int) -> list[int]:
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _worker_rng(cfg: McConfig, worker: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=cfg.seed).jumped(worker))
-
-
-def _chunk_rows(ncols: int) -> int:
-    return max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols)))
-
-
-def _gain_chunks(mat: np.ndarray, n_rows: int, rng: np.random.Generator):
-    """Yield blocks of squared port gains, rows are trials.
+def _gain_chunks(mat: np.ndarray, cfg: McConfig):
+    """Yield every chunk of squared port gains, rows are trials.
 
     mat maps the latent standard-normal coordinates to port amplitudes
     (Cholesky factor for the full model, U_K sqrt(L_K) for truncated).
     Two real matmuls beat one complex one and keep the arithmetic
-    bit-stable across platforms with the same BLAS. The latent and port
-    buffers are allocated once per worker and refilled in place; each
+    bit-stable across platforms with the same BLAS. One set of latent
+    and port buffers serves every worker and is refilled in place; each
     yielded block is a fresh array the caller may keep.
     """
     nports, ncols = mat.shape
-    step = min(_chunk_rows(max(ncols, nports)), n_rows)
+    base, extra = divmod(cfg.trials, cfg.workers)
+    rows = max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols, nports)))
+    step = min(rows, base + (extra > 0))  # no more than the largest slice
     z = np.empty((step, ncols))
     gr = np.empty((step, nports))
     gi = np.empty((step, nports))
     root_half = math.sqrt(0.5)
-    done = 0
-    while done < n_rows:
-        m = min(step, n_rows - done)
-        for g in (gr[:m], gi[:m]):  # real part first, then imaginary
-            rng.standard_normal(out=z[:m])
-            z[:m] *= root_half
-            np.matmul(z[:m], mat.T, out=g)
-            np.square(g, out=g)
-        yield gr[:m] + gi[:m]
-        done += m
-
-
-def _sample(mat: np.ndarray, cfg: McConfig, reduce: Callable[[np.ndarray], None]) -> None:
-    """Feed every chunk of squared port gains to reduce, in worker order."""
-    for w, n_w in enumerate(_worker_slices(cfg.trials, cfg.workers)):
-        if n_w == 0:
-            continue
-        rng = _worker_rng(cfg, w)
-        for gains in _gain_chunks(mat, n_w, rng):
-            reduce(gains)
+    for w in range(min(cfg.workers, cfg.trials)):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
+        n_w = base + (w < extra)
+        for done in range(0, n_w, step):
+            m = min(step, n_w - done)
+            for g in (gr[:m], gi[:m]):  # real part first, then imaginary
+                rng.standard_normal(out=z[:m])
+                z[:m] *= root_half
+                np.matmul(z[:m], mat.T, out=g)
+                np.square(g, out=g)
+            yield gr[:m] + gi[:m]
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:
@@ -146,29 +125,18 @@ def _thresholds(x: float | Sequence[float]) -> np.ndarray:
 
 
 def _outage(
-    mat: np.ndarray,
-    x: float | Sequence[float],
-    cfg: McConfig,
-    jitter: float | None,
+    mat: np.ndarray, x: float | Sequence[float], cfg: McConfig
 ) -> OutageEstimate | tuple[OutageEstimate, ...]:
     xs = _thresholds(x)
     hits = np.zeros(xs.size, dtype=np.int64)
-
-    def reduce(gains: np.ndarray) -> None:
-        peak = gains.max(axis=1)
-        hits[:] += np.count_nonzero(peak[:, None] < xs, axis=0)
-
-    _sample(mat, cfg, reduce)
+    for gains in _gain_chunks(mat, cfg):
+        hits += np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)
     estimates = []
     for h in map(int, hits):
         p = h / cfg.trials
         estimates.append(
             OutageEstimate(
-                p=p,
-                trials=cfg.trials,
-                hits=h,
-                std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
-                jitter=jitter,
+                p=p, trials=cfg.trials, hits=h, std_err=math.sqrt(p * (1.0 - p) / cfg.trials)
             )
         )
     return estimates[0] if np.ndim(x) == 0 else tuple(estimates)
@@ -185,7 +153,7 @@ def simulate_outage(
     estimates in the same order, all counted from one set of draws.
     """
     factor = R if isinstance(R, CholeskyFactor) else cholesky(R)
-    return _outage(factor.lower, x, cfg, factor.jitter)
+    return _outage(factor.lower, x, cfg)
 
 
 def truncated_gain_matrix(kl: KlSpec) -> np.ndarray:
@@ -200,7 +168,7 @@ def simulate_outage_truncated(
 
     x is a number or a sequence of thresholds, as in simulate_outage.
     """
-    return _outage(truncated_gain_matrix(kl), x, cfg, None)
+    return _outage(truncated_gain_matrix(kl), x, cfg)
 
 
 def count_upcrossings(
@@ -217,15 +185,10 @@ def count_upcrossings(
         raise DomainError(f"level u must be positive, got {u!r}")
     if config.N < 2:
         raise DomainError("upcrossing counting needs at least two ports")
-    factor = cholesky(correlation_matrix(config))
-    sums = [0, 0]  # sum(c) and sum(c*c) over trials, as Python ints
-
-    def reduce(gains: np.ndarray) -> None:
+    s1 = s2 = 0  # sum(c) and sum(c*c) over trials, as Python ints
+    for gains in _gain_chunks(cholesky(correlation_matrix(config)).lower, cfg):
         cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
-        sums[0] += int(cross.sum())
-        sums[1] += int((cross * cross).sum())
-
-    _sample(factor.lower, cfg, reduce)
+        s1 += int(cross.sum())
+        s2 += int((cross * cross).sum())
     n = cfg.trials
-    s1, s2 = sums
     return s1 / n, math.sqrt((n * s2 - s1 * s1) / n**2 / n)

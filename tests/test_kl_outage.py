@@ -88,6 +88,13 @@ class TestRank2:
             x = ThresholdSpec(avg_snr_db=snr_db, threshold_db=0.0).x
             assert outage_rank2(spec, x) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("x", [1e6, 1e10])
+    def test_large_threshold_is_certain_outage(self, gauss_matrix_20_1, x):
+        # -60 and -100 dB on snr-sweep's spectrum: every disk dwarfs the
+        # unit-scale density, which a grid over the smallest disk misses
+        spec = eigendecompose(gauss_matrix_20_1)
+        assert outage_rank2(spec, x) == pytest.approx(1.0, abs=1e-12)
+
     def test_between_rank1_and_full(self, gauss_spectrum_20_2):
         # extra modes add diversity, so outage falls with rank
         x = 1.0

@@ -28,8 +28,7 @@ from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
     McConfig,
     OutageEstimate,
-    _sample,
-    _worker_slices,
+    _gain_chunks,
     count_upcrossings,
     simulate_outage,
     simulate_outage_truncated,
@@ -59,12 +58,6 @@ class TestConfig:
     def test_coerces_to_int(self):
         cfg = McConfig(trials=float(100), seed=float(7), workers=float(2))
         assert cfg.trials == 100 and isinstance(cfg.trials, int)
-
-    def test_worker_slices_balanced(self):
-        assert _worker_slices(10, 3) == [4, 3, 3]
-        assert _worker_slices(9, 3) == [3, 3, 3]
-        assert _worker_slices(2, 4) == [1, 1, 0, 0]
-        assert sum(_worker_slices(10**6, 7)) == 10**6
 
 
 class TestIdentityChecks:
@@ -138,7 +131,7 @@ class TestThresholdSweep:
         def no_draws(*args):
             raise AssertionError("drew samples for an invalid threshold")
 
-        monkeypatch.setattr(montecarlo, "_worker_rng", no_draws)
+        monkeypatch.setattr(montecarlo, "_gain_chunks", no_draws)
         with pytest.raises(DomainError):
             SAMPLERS[sampler](x, McConfig(trials=10))
 
@@ -226,24 +219,72 @@ class TestMarginals:
 
 
 class TestGainChunks:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rank", [6, 2])
-    def test_reused_buffers_match_fresh_products(self, monkeypatch, rank):
-        # the chunk buffers are refilled in place; every yielded block must
-        # still equal the fresh-array products of the same Philox draws
+    def test_reused_buffers_match_fresh_products(self, monkeypatch, rank, workers):
+        # one buffer set is refilled in place across chunks and workers;
+        # every yielded block must still equal the fresh-array products of
+        # its worker's Philox(9).jumped(w) draws
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row chunks
         config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)
         mat = montecarlo.truncated_gain_matrix(
             kl_truncate(eigendecompose(correlation_matrix(config)), rank)
         )
-        chunks = list(
-            montecarlo._gain_chunks(mat, 2500, np.random.Generator(np.random.Philox(key=9)))
-        )
-        assert [c.shape for c in chunks] == [(1024, 6), (1024, 6), (452, 6)]
-        rng = np.random.Generator(np.random.Philox(key=9))
-        for gains in chunks:
-            zr = rng.standard_normal((gains.shape[0], rank)) * math.sqrt(0.5)
-            zi = rng.standard_normal((gains.shape[0], rank)) * math.sqrt(0.5)
-            assert np.array_equal(gains, (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+        chunks = list(_gain_chunks(mat, McConfig(trials=2500, seed=9, workers=workers)))
+        sizes = {1: [[1024, 1024, 452]], 2: [[1024, 226], [1024, 226]]}[workers]
+        assert [c.shape for c in chunks] == [(m, 6) for slice_ in sizes for m in slice_]
+        blocks = iter(chunks)
+        for w, slice_ in enumerate(sizes):
+            rng = np.random.Generator(np.random.Philox(key=9).jumped(w))
+            for m in slice_:
+                zr = rng.standard_normal((m, rank)) * math.sqrt(0.5)
+                zi = rng.standard_normal((m, rank)) * math.sqrt(0.5)
+                assert np.array_equal(next(blocks), (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+
+
+class TestMultiWorkerPins:
+    """Multi-worker draws, frozen bit-for-bit.
+
+    The oracle fixture holds only workers=1 rows, while the CLI defaults
+    to 8 workers. These counts pin how trials split across workers, how
+    each worker's Philox stream is keyed and jumped, and the chunk edges
+    inside every worker (1024-row chunks at a patched _CHUNK_BUDGET).
+    """
+
+    XS = [0.3, 1.0, 2.5, 4.0]
+
+    @staticmethod
+    def _field():
+        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
+        R = correlation_matrix(config)
+        return config, R, kl_truncate(eigendecompose(R), 3)
+
+    @pytest.mark.parametrize(
+        "trials,workers,full,truncated,upcrossings",
+        [
+            (7_001, 3, [19, 909, 4605, 6337], [154, 1688, 5410, 6626],
+             (0.8824453649478646, 0.007644438224729878)),
+            (2, 4, [0, 0, 2, 2], [0, 1, 2, 2], (1.5, 0.3535533905932738)),
+        ],
+        ids=["7001-trials-3-workers", "2-trials-4-workers"],
+    )
+    def test_pinned_counts(self, monkeypatch, trials, workers, full, truncated, upcrossings):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        config, R, kl = self._field()
+        cfg = McConfig(trials=trials, seed=11, workers=workers)
+        assert [e.hits for e in simulate_outage(R, self.XS, cfg)] == full
+        assert [e.hits for e in simulate_outage_truncated(kl, self.XS, cfg)] == truncated
+        assert count_upcrossings(config, 1.0, cfg) == upcrossings
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, 1_025, 3_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_every_trial_counted_once(self, monkeypatch, trials, workers):
+        # a threshold above every gain is a hit in each trial exactly once
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        _, R, kl = self._field()
+        cfg = McConfig(trials=trials, seed=11, workers=workers)
+        assert simulate_outage(R, 1e6, cfg).hits == trials
+        assert simulate_outage_truncated(kl, 1e6, cfg).hits == trials
 
 
 class TestTruncated:
@@ -287,9 +328,9 @@ class TestUpcrossings:
         config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
         cfg = McConfig(trials=5_003, seed=5, workers=3)
         mean, se = count_upcrossings(config, 1.0, cfg)
-        chunks = []
-        _sample(cholesky(correlation_matrix(config)).lower, cfg, chunks.append)
-        gains = np.concatenate(chunks)
+        gains = np.concatenate(
+            list(_gain_chunks(cholesky(correlation_matrix(config)).lower, cfg))
+        )
         cross = ((gains[:, :-1] < 1.0) & (gains[:, 1:] >= 1.0)).sum(axis=1)
         assert cross.std() > 0
         assert mean == pytest.approx(cross.mean(), rel=1e-13)
