@@ -67,11 +67,21 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     i.e. iff z2 lies in a disk of radius sqrt(x)/|b_n| centered at
     -a_n/b_n. The conditional probability mass of the disk intersection
     is integrated on a polar grid over the smallest disk (the
-    intersection lives inside it); the outer average over z1 is a 2-D
-    Gauss-Hermite sum. Ports with |b_n| ~ 0 contribute z2-independent
-    constraints handled separately. An outer node whose disks all cover
-    the radius-6 disk about the origin counts as full mass (the rest is
-    e^-36), since there the grid is too coarse to see the density.
+    intersection lives inside it); disks that cover the smallest one
+    constrain no cell and are skipped. The outer average over z1 is a
+    2-D Gauss-Hermite sum. Ports with |b_n| ~ 0 contribute
+    z2-independent constraints handled separately. An outer node whose
+    disks all cover the radius-6 disk about the origin counts as full
+    mass (the rest is e^-36), since there the grid is too coarse to see
+    the density.
+
+    The outer sum visits one node per orbit of the 16 x 16 grid under
+    z1 -> +-z1, +-i z1, +-conj(z1), +-i conj(z1) (36 of 256 nodes) and
+    weights it by the orbit's size. This is exact up to rounding: every
+    center is a real multiple of z1 and z2's density is rotation
+    invariant; the cell angles (k + 1/2) 2 pi / 200 are closed under a
+    quarter turn and under conjugation; and the Hermite nodes and
+    weights are exactly symmetric.
 
     Known failure at small x: the smallest Hermite node has |z1| >= 0.38,
     so once x <~ 0.1 (10 dB and up at a 0 dB threshold) every outer node
@@ -91,8 +101,11 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     degenerate = np.abs(b) < 1e-12
     live = ~degenerate
 
+    # hermgauss nodes and weights are exactly symmetric, so the upper
+    # half of the even-order rule holds every |t| with its weight
     rule = gauss_hermite(_QUAD_ORDER)
-    t, w = rule.nodes, rule.weights
+    half = _QUAD_ORDER // 2
+    t, w = rule.nodes[half:], rule.weights[half:]
     sqrt_x = math.sqrt(x)
 
     # 200 x 200 polar cells over the unit disk, reused for every outer
@@ -106,17 +119,20 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     cell_xy = r_mid[:, None] * np.exp(1j * th_mid[None, :])  # nr x ntheta
     cell_area_factor = (r_mid * dr * dth)[:, None]  # r dr dtheta
 
+    # one node z1 = t_i + i t_j with t_i >= t_j > 0 per orbit of the
+    # maps z1 -> +-z1, +-i z1, +-conj(z1), +-i conj(z1): 4 nodes on the
+    # diagonal, 8 off it
     total = 0.0
-    for i, tr in enumerate(t):
-        for j, ti in enumerate(t):
-            z1 = complex(tr, ti)
-            a = s1 * u1 * z1  # complex array over ports
+    for i in range(half):
+        for j in range(i + 1):
+            weight = (4.0 if i == j else 8.0) * w[i] * w[j]
+            a = s1 * u1 * complex(t[i], t[j])  # complex array over ports
 
             if degenerate.any():
                 if np.any(np.abs(a[degenerate]) ** 2 > x):
                     continue  # some z2-independent port already exceeds x
             if not live.any():
-                total += w[i] * w[j]  # all constraints satisfied regardless of z2
+                total += weight  # all constraints satisfied regardless of z2
                 continue
 
             centers = -a[live] / b[live]
@@ -132,17 +148,20 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
             # quick accept: every disk covers the radius-6 disk about 0,
             # which holds all but e^-36 of z2's mass
             if np.all(np.abs(centers) + 6.0 <= radii):
-                total += w[i] * w[j]
+                total += weight
                 continue
 
+            # every cell centre lies within 0.9975 r0 of c0, so a disk
+            # covering the smallest one holds them all
             pts = c0 + r0 * cell_xy
             inside = np.ones(pts.shape, dtype=bool)
-            for cn, rn in zip(centers, radii):
+            partial = dists + r0 > radii
+            for cn, rn in zip(centers[partial], radii[partial]):
                 inside &= np.abs(pts - cn) <= rn
             if not inside.any():
                 continue
             dens = np.exp(-np.abs(pts) ** 2) / math.pi
             mass = float((r0 * r0) * ((dens * inside) * cell_area_factor).sum())
-            total += w[i] * w[j] * mass
+            total += weight * mass
 
     return min(1.0, max(0.0, total / math.pi))

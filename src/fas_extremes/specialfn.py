@@ -5,11 +5,12 @@ and Gauss-Hermite and Gauss-Laguerre quadrature rules. J0 is scalar
 float64 math on the standard library. Marcum Q1 takes scalars but
 evaluates its Poisson mixture as NumPy arrays, one dot product per call.
 The quadrature rules are numpy's (Golub-Welsch) wrapped in
-QuadratureRule.
+QuadratureRule, built once per order and cached with read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,11 @@ def _check_finite(x: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss quadrature nodes and weights, nodes ascending."""
+    """Gauss quadrature nodes and weights, nodes ascending.
+
+    The arrays are made read-only, so a cached rule cannot be changed
+    by a caller.
+    """
 
     order: int
     nodes: np.ndarray
@@ -51,6 +56,8 @@ class QuadratureRule:
             raise DomainError("quadrature order must be >= 1")
         if len(self.nodes) != self.order or len(self.weights) != self.order:
             raise DomainError("node/weight length mismatch")
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
 def bessel_j0(x: float) -> float:
@@ -177,11 +184,13 @@ def marcum_q1(a: float, b: float) -> float:
     return min(1.0, max(0.0, float(px @ cdf_y[j])))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^{-t^2} on the real line.
 
     Standard numpy implementation; nodes come out ascending. Exact for
-    polynomials of degree <= 2Q - 1. Q is capped at 64.
+    polynomials of degree <= 2Q - 1. Q is capped at 64. Built once per
+    order; later calls return the same rule.
     """
     order = int(order)
     if not (1 <= order <= 64):
@@ -190,6 +199,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_laguerre(order: int) -> QuadratureRule:
     """Gauss-Laguerre rule for weight e^{-t} on [0, inf).
 
@@ -197,6 +207,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     implementation; nodes come out ascending already. Orders whose
     nodes or weights come out non-finite (187 and up on NumPy 2.4,
     where the weights' normalisation overflows) raise DomainError.
+    Built once per order; later calls return the same rule.
     """
     order = int(order)
     if not (1 <= order <= 256):

@@ -13,14 +13,97 @@ import math
 import numpy as np
 import pytest
 
-from fas_extremes.fieldmodel import eigendecompose, kl_truncate
-from fas_extremes.kl_outage import ThresholdSpec, outage_rank1, outage_rank2
+from fas_extremes.fieldmodel import (
+    ApertureConfig,
+    correlation_matrix,
+    eigendecompose,
+    kl_truncate,
+)
+from fas_extremes.kernels import CorrelationModel
+from fas_extremes.kl_outage import (
+    _QUAD_ORDER,
+    ThresholdSpec,
+    outage_rank1,
+    outage_rank2,
+)
 from fas_extremes.montecarlo import (
     McConfig,
     simulate_outage_truncated,
     truncated_gain_matrix,
 )
-from fas_extremes.specialfn import DomainError
+from fas_extremes.specialfn import DomainError, gauss_hermite
+
+
+def _rank2_full_grid(spec, x):
+    """outage_rank2 evaluated at each of the 16 x 16 Hermite nodes.
+
+    The reference for outage_rank2's sum over symmetry orbits.
+    """
+    lam1 = float(spec.eigenvalues[0])
+    lam2 = max(0.0, float(spec.eigenvalues[1]))
+    u1 = spec.eigenvectors[:, 0]
+    u2 = spec.eigenvectors[:, 1]
+    s1 = math.sqrt(max(0.0, lam1))
+    s2 = math.sqrt(lam2)
+    b = s2 * u2  # real coefficients of the second mode
+    degenerate = np.abs(b) < 1e-12
+    live = ~degenerate
+
+    rule = gauss_hermite(_QUAD_ORDER)
+    t, w = rule.nodes, rule.weights
+    sqrt_x = math.sqrt(x)
+
+    # 200 x 200 polar cells over the unit disk, reused for every outer
+    # node after scaling by the smallest disk's center and radius
+    nr = ntheta = 200
+    r_edges = np.linspace(0.0, 1.0, nr + 1)
+    r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
+    dr = r_edges[1] - r_edges[0]
+    th_mid = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
+    dth = 2.0 * math.pi / ntheta
+    cell_xy = r_mid[:, None] * np.exp(1j * th_mid[None, :])  # nr x ntheta
+    cell_area_factor = (r_mid * dr * dth)[:, None]  # r dr dtheta
+
+    total = 0.0
+    for i, tr in enumerate(t):
+        for j, ti in enumerate(t):
+            z1 = complex(tr, ti)
+            a = s1 * u1 * z1  # complex array over ports
+
+            if degenerate.any():
+                if np.any(np.abs(a[degenerate]) ** 2 > x):
+                    continue  # some z2-independent port already exceeds x
+            if not live.any():
+                total += w[i] * w[j]  # all constraints satisfied regardless of z2
+                continue
+
+            centers = -a[live] / b[live]
+            radii = sqrt_x / np.abs(b[live])
+            k = int(np.argmin(radii))
+            c0, r0 = centers[k], radii[k]
+
+            # quick reject: another disk entirely missing the smallest one
+            dists = np.abs(centers - c0)
+            if np.any(dists >= radii + r0):
+                continue
+
+            # quick accept: every disk covers the radius-6 disk about 0,
+            # which holds all but e^-36 of z2's mass
+            if np.all(np.abs(centers) + 6.0 <= radii):
+                total += w[i] * w[j]
+                continue
+
+            pts = c0 + r0 * cell_xy
+            inside = np.ones(pts.shape, dtype=bool)
+            for cn, rn in zip(centers, radii):
+                inside &= np.abs(pts - cn) <= rn
+            if not inside.any():
+                continue
+            dens = np.exp(-np.abs(pts) ** 2) / math.pi
+            mass = float((r0 * r0) * ((dens * inside) * cell_area_factor).sum())
+            total += w[i] * w[j] * mass
+
+    return min(1.0, max(0.0, total / math.pi))
 
 
 class TestThresholdSpec:
@@ -94,6 +177,18 @@ class TestRank2:
         # unit-scale density, which a grid over the smallest disk misses
         spec = eigendecompose(gauss_matrix_20_1)
         assert outage_rank2(spec, x) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("N, W", [(8, 0.5), (20, 1.0), (21, 1.0), (20, 3.0), (64, 1.0)])
+    def test_orbit_sum_matches_full_grid(self, model, N, W):
+        # Gauss N = 21 has a degenerate middle port (|b_n| < 1e-12);
+        # -15 dB reaches the quick accept, and at 10 dB every node is
+        # rejected for W <= 1
+        spec = eigendecompose(correlation_matrix(ApertureConfig(W=W, N=N, model=model)))
+        for snr_db in (-15.0, -10.0, -5.0, 0.0, 5.0, 10.0):
+            x = ThresholdSpec(avg_snr_db=snr_db, threshold_db=0.0).x
+            expect = _rank2_full_grid(spec, x)
+            assert outage_rank2(spec, x) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_between_rank1_and_full(self, gauss_spectrum_20_2):
         # extra modes add diversity, so outage falls with rank

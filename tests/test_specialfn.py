@@ -159,15 +159,24 @@ class TestGaussHermite:
             assert abs(got - exact) <= 1e-9 * max(1.0, exact)
 
     def test_order_limits(self):
-        with pytest.raises(DomainError):
-            gauss_hermite(0)
-        with pytest.raises(DomainError):
-            gauss_hermite(65)
+        for _ in range(2):  # errors are not cached: every call raises
+            with pytest.raises(DomainError):
+                gauss_hermite(0)
+            with pytest.raises(DomainError):
+                gauss_hermite(65)
 
     def test_rule_is_immutable(self):
         rule = gauss_hermite(4)
         with pytest.raises(Exception):
             rule.order = 5  # frozen dataclass
+        # cached: a second call returns the same rule, whose arrays
+        # cannot be written through
+        assert gauss_hermite(4) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        assert gauss_hermite(4).nodes[0] != 0.0
 
 
 class TestGaussLaguerre:
@@ -186,15 +195,26 @@ class TestGaussLaguerre:
         assert abs(val - 2.0 / 3.0) < 1e-12
 
     def test_order_limits(self):
-        with pytest.raises(DomainError):
-            gauss_laguerre(0)
-        with pytest.raises(DomainError):
-            gauss_laguerre(257)
+        for _ in range(2):  # errors are not cached: every call raises
+            with pytest.raises(DomainError):
+                gauss_laguerre(0)
+            with pytest.raises(DomainError):
+                gauss_laguerre(257)
 
     @pytest.mark.parametrize("order", [187, 256])
     def test_non_finite_rule_rejected(self, order):
-        with pytest.raises(DomainError):
-            gauss_laguerre(order)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                gauss_laguerre(order)
+
+    def test_rule_is_immutable(self):
+        rule = gauss_laguerre(64)
+        assert gauss_laguerre(64) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        assert gauss_laguerre(64).nodes[0] > 0.0
 
     def test_largest_finite_order_builds(self):
         rule = gauss_laguerre(186)
