@@ -6,18 +6,25 @@ imaginary parts are N(0, 1/2) each so every |g_n|^2 is exactly unit-mean
 exponential. Streams are keyed by (seed, worker) through the Philox
 counter-based generator: worker w owns a fixed divmod slice of the
 trial budget and draws from Philox(seed).jumped(w), so any (seed,
-workers, trials) triple reproduces bit-for-bit. Workers run serially
-in-process; the knob exists for stream partitioning and metadata, not
-OS threads, which keeps the reduction order deterministic at no
-accuracy cost.
+workers, trials) triple reproduces bit-for-bit. The knob partitions the
+stream; it does not set a thread count.
 
 One private generator (_gain_chunks) yields every chunk of squared port
-gains, rows are trials, in worker order. It allocates one set of latent
-and port buffers, sized for the largest worker slice, and refills it in
-place for every worker, so only the yielded block is a fresh array per
-chunk. Each public estimator is a plain loop over those chunks: hit
-counts for outage, and exact integer sums of the per-trial count and
-its square for the upcrossings.
+gains, rows are trials, in worker order. Each chunk is a real-part
+latent block, then an imaginary-part block, each drawn from its
+worker's stream and mapped to the ports by one matmul. While the
+calling thread maps block k, one helper thread draws block k + 1 into
+the other of two latent buffers, when a block's product is large
+enough to be worth the handoff (_OVERLAP_MIN); smaller ones are drawn
+on the calling thread. The helper's draw is awaited before every
+yield, so it is idle while the caller holds a chunk. Each block is
+drawn from the same stream position, into the same shape, and mapped
+by the same matmul call as in a serial loop, so the results cannot
+depend on the overlap, and every reduction runs in worker order on the
+calling thread. Only the yielded block is a fresh array per chunk.
+Each public estimator is a plain loop over those chunks: hit counts for
+outage, and exact integer sums of the per-trial count and its square
+for the upcrossings.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -30,6 +37,7 @@ pass over the field instead of one per point.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,6 +62,12 @@ __all__ = [
 ]
 
 _CHUNK_BUDGET = 4_000_000  # floats per chunk row-block, keeps peak memory modest
+# Multiply-adds in one block's product (rows x latent x ports) below which
+# the draws stay on the calling thread: the overlap can save at most the
+# product's time (about 2 ms on a 2-vCPU Xeon at one BLAS thread), while
+# each handoff wakes a thread, which on a loaded shared host can take about
+# as long and varies from run to run.
+_OVERLAP_MIN = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -84,35 +98,100 @@ class OutageEstimate:
     std_err: float
 
 
+def _fill(rng: np.random.Generator, z: np.ndarray) -> None:
+    """Draw z in place as independent N(0, 1/2) normals."""
+    rng.standard_normal(out=z)
+    z *= math.sqrt(0.5)
+
+
 def _gain_chunks(mat: np.ndarray, cfg: McConfig):
     """Yield every chunk of squared port gains, rows are trials.
 
     mat maps the latent standard-normal coordinates to port amplitudes
     (Cholesky factor for the full model, U_K sqrt(L_K) for truncated).
     Two real matmuls beat one complex one and keep the arithmetic
-    bit-stable across platforms with the same BLAS. One set of latent
-    and port buffers serves every worker and is refilled in place; each
-    yielded block is a fresh array the caller may keep.
+    bit-stable for one BLAS build and thread count. When a block's
+    product has at least _OVERLAP_MIN multiply-adds, one helper thread
+    draws the next latent block into the second of two buffers while
+    this thread maps the current one; otherwise this thread draws it
+    itself, just before. The helper's draw is awaited before each
+    yield, so it waits idle while the caller holds a chunk, and it is
+    stopped and joined when the generator finishes or is closed. The
+    buffers and the real-part gains are reused; each yielded block is a
+    fresh array the caller may keep.
     """
     nports, ncols = mat.shape
     base, extra = divmod(cfg.trials, cfg.workers)
     rows = max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols, nports)))
     step = min(rows, base + (extra > 0))  # no more than the largest slice
-    z = np.empty((step, ncols))
+
+    def latent_blocks():
+        # (stream, rows) per latent block in draw order, keyed lazily
+        for w in range(min(cfg.workers, cfg.trials)):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
+            n_w = base + (w < extra)
+            for done in range(0, n_w, step):
+                m = min(step, n_w - done)
+                yield rng, m  # real part
+                yield rng, m  # imaginary part
+
+    jobs: list = []  # (stream, buffer) to fill, in order; None stops the helper
+    failures: list[BaseException] = []
+    requested, drawn = threading.Semaphore(0), threading.Semaphore(0)
+
+    def draw_ahead():
+        while True:
+            requested.acquire()
+            job = jobs.pop(0)
+            if job is None:
+                return
+            try:
+                _fill(*job)
+            except BaseException as exc:  # raised by the calling thread at its wait
+                failures.append(exc)
+            drawn.release()
+
+    z, z_next = np.empty((step, ncols)), np.empty((step, ncols))
     gr = np.empty((step, nports))
-    gi = np.empty((step, nports))
-    root_half = math.sqrt(0.5)
-    for w in range(min(cfg.workers, cfg.trials)):
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
-        n_w = base + (w < extra)
-        for done in range(0, n_w, step):
-            m = min(step, n_w - done)
-            for g in (gr[:m], gi[:m]):  # real part first, then imaginary
-                rng.standard_normal(out=z[:m])
-                z[:m] *= root_half
-                np.matmul(z[:m], mat.T, out=g)
-                np.square(g, out=g)
-            yield gr[:m] + gi[:m]
+    blocks = latent_blocks()
+    rng, m = next(blocks)
+    _fill(rng, z[:m])
+    real = True
+    helper = None
+    if step * ncols * nports >= _OVERLAP_MIN:
+        # daemon: a generator dropped unclosed at exit must not block the exit
+        helper = threading.Thread(target=draw_ahead, daemon=True)
+        helper.start()
+    try:
+        while True:
+            ahead = next(blocks, None)
+            if ahead is not None:
+                job = (ahead[0], z_next[: ahead[1]])
+                if helper is None:
+                    _fill(*job)
+                else:
+                    jobs.append(job)
+                    requested.release()
+            g = gr[:m] if real else np.empty((m, nports))
+            np.matmul(z[:m], mat.T, out=g)
+            np.square(g, out=g)
+            if ahead is not None and helper is not None:
+                drawn.acquire()
+                if failures:
+                    raise failures[0]
+            if not real:
+                g += gr[:m]  # addition commutes, so the order of the parts is moot
+                yield g
+            if ahead is None:
+                return
+            _, m = ahead
+            z, z_next = z_next, z
+            real = not real
+    finally:
+        if helper is not None:
+            jobs.append(None)
+            requested.release()
+            helper.join()
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:

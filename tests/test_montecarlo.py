@@ -12,6 +12,9 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -240,6 +243,162 @@ class TestGainChunks:
                 zr = rng.standard_normal((m, rank)) * math.sqrt(0.5)
                 zi = rng.standard_normal((m, rank)) * math.sqrt(0.5)
                 assert np.array_equal(next(blocks), (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+
+
+def _serial_gain_chunks(mat, cfg):
+    """The sampler's chunks drawn and mapped one after another: the reference."""
+    nports, ncols = mat.shape
+    base, extra = divmod(cfg.trials, cfg.workers)
+    rows = max(1024, min(262_144, montecarlo._CHUNK_BUDGET // max(1, ncols, nports)))
+    step = min(rows, base + (extra > 0))
+    z = np.empty((step, ncols))
+    gr = np.empty((step, nports))
+    gi = np.empty((step, nports))
+    root_half = math.sqrt(0.5)
+    for w in range(min(cfg.workers, cfg.trials)):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
+        n_w = base + (w < extra)
+        for done in range(0, n_w, step):
+            m = min(step, n_w - done)
+            for g in (gr[:m], gi[:m]):
+                rng.standard_normal(out=z[:m])
+                z[:m] *= root_half
+                np.matmul(z[:m], mat.T, out=g)
+                np.square(g, out=g)
+            yield gr[:m] + gi[:m]
+
+
+class TestDrawAhead:
+    """The helper thread draws one block ahead without changing a bit."""
+
+    XS = [0.3, 1.0, 2.5, 4.0]
+
+    @pytest.fixture
+    def always_overlap(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", 0)
+
+    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
+    @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("N", [7, 64, 200])
+    def test_matches_serial_loop(self, monkeypatch, N, workers, budget, overlap):
+        if budget is not None:  # 1024-row chunks, several per worker
+            monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
+        if overlap is not None:
+            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+        R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
+        factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
+        for trials in (1, 5, 1_025, 5_003):
+            cfg = McConfig(trials=trials, seed=13, workers=workers)
+            for mat, estimates in (
+                (factor.lower, simulate_outage(factor, self.XS, cfg)),
+                (montecarlo.truncated_gain_matrix(kl), simulate_outage_truncated(kl, self.XS, cfg)),
+            ):
+                ref = list(_serial_gain_chunks(mat, cfg))
+                got = list(_gain_chunks(mat, cfg))
+                assert len(got) == len(ref)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+                best = np.concatenate([c.max(axis=1) for c in ref])
+                assert [e.hits for e in estimates] == [
+                    int(np.count_nonzero(best < x)) for x in self.XS
+                ]
+
+    @pytest.mark.usefixtures("always_overlap")
+    @pytest.mark.parametrize("stop", ["exhausted", "break", "consumer-raises"])
+    def test_no_thread_outlives_the_generator(self, monkeypatch, stop):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        mat = cholesky(_gauss_n8()).lower
+        before = threading.active_count()
+        if stop == "exhausted":
+            chunks = list(_gain_chunks(mat, McConfig(trials=5_003, seed=3, workers=2)))
+            assert sum(len(c) for c in chunks) == 5_003
+        elif stop == "break":
+            # 10^9 workers of 1000 trials each: only the first is ever keyed
+            for chunk in _gain_chunks(mat, McConfig(trials=10**12, seed=3, workers=10**9)):
+                assert chunk.shape == (1000, 8)
+                break
+        else:
+            with pytest.raises(ZeroDivisionError):
+                for n, _ in enumerate(_gain_chunks(mat, McConfig(trials=5_003, seed=3))):
+                    1 / (2 - n)
+        assert threading.active_count() == before
+
+    @pytest.mark.usefixtures("always_overlap")
+    def test_helper_failure_raised_by_caller(self, monkeypatch):
+        fill, threads = montecarlo._fill, []
+
+        def failing(rng, z):
+            threads.append(threading.current_thread())
+            if len(threads) == 4:  # the first chunk's two blocks and one ahead are drawn
+                raise RuntimeError("draw failed")
+            fill(rng, z)
+
+        monkeypatch.setattr(montecarlo, "_fill", failing)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        before = threading.active_count()
+        chunks = _gain_chunks(cholesky(_gauss_n8()).lower, McConfig(trials=5_003, seed=3))
+        assert next(chunks).shape == (1024, 8)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(chunks)
+        # the first block is drawn here, every later one on the helper
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is threads[2] is threads[3] is not threads[0]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "N, trials, helper",
+        [(8, 5_003, False), (20, 20_000, False), (64, 6_000, False), (200, 10_000, True)],
+    )
+    def test_helper_only_for_large_products(self, monkeypatch, N, trials, helper):
+        # after the first block, N = 200 draws run on the helper; smaller products stay here
+        fill, threads = montecarlo._fill, []
+
+        def recording(rng, z):
+            threads.append(threading.current_thread())
+            fill(rng, z)
+
+        monkeypatch.setattr(montecarlo, "_fill", recording)
+        R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
+        cfg = McConfig(trials=trials, seed=3, workers=2)
+        mat = cholesky(R).lower
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(_gain_chunks(mat, cfg), _serial_gain_chunks(mat, cfg), strict=True))
+        assert threads[0] is threading.current_thread()
+        assert {t is threads[0] for t in threads[1:]} == {not helper}
+
+
+_BLAS_PROBE = """
+import hashlib
+from fas_extremes.fieldmodel import ApertureConfig, cholesky, correlation_matrix
+from fas_extremes.kernels import CorrelationModel
+from fas_extremes.montecarlo import McConfig, _gain_chunks
+digest = hashlib.sha256()
+for model in CorrelationModel:
+    R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
+    for chunk in _gain_chunks(cholesky(R).lower, McConfig(trials=10_000, seed=42, workers=2)):
+        digest.update(chunk.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason="OpenBLAS 0.3.31 splits the N = 200 product differently at 1 and 2 threads, "
+    "so the draws differ in the last bits; another BLAS may agree",
+)
+def test_draws_do_not_depend_on_blas_threads():
+    # dense-aperture's sampler config; BLAS reads its thread count at load
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestMultiWorkerPins:
