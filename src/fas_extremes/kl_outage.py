@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import EigenSpectrum
-from .specialfn import DomainError, gauss_hermite
+from .specialfn import DomainError, borrow, gauss_hermite, give_back
 
 # Gauss-Hermite order per axis of outage_rank2's outer average over z1
 _QUAD_ORDER = 16
@@ -109,15 +109,27 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     sqrt_x = math.sqrt(x)
 
     # 200 x 200 polar cells over the unit disk, reused for every outer
-    # node after scaling by the smallest disk's center and radius
+    # node after scaling by the smallest disk's center and radius. The
+    # cells, their scaled points, the offsets from a disk center and a
+    # real grid share one scratch slab; each node's arithmetic runs in
+    # place on them, in the order of the plain expressions quoted below.
     nr = ntheta = 200
     r_edges = np.linspace(0.0, 1.0, nr + 1)
     r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
     dr = r_edges[1] - r_edges[0]
     th_mid = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
     dth = 2.0 * math.pi / ntheta
-    cell_xy = r_mid[:, None] * np.exp(1j * th_mid[None, :])  # nr x ntheta
+    ncell = nr * ntheta
+    slab = borrow(7 * ncell)
+    cell_xy, pts, diff = (
+        slab[2 * i * ncell : 2 * (i + 1) * ncell].view(np.complex128).reshape(nr, ntheta)
+        for i in range(3)
+    )
+    grid = slab[6 * ncell : 7 * ncell].reshape(nr, ntheta)
+    np.multiply(r_mid[:, None], np.exp(1j * th_mid[None, :]), out=cell_xy)
     cell_area_factor = (r_mid * dr * dth)[:, None]  # r dr dtheta
+    inside = np.empty((nr, ntheta), dtype=bool)
+    near = np.empty((nr, ntheta), dtype=bool)
 
     # one node z1 = t_i + i t_j with t_i >= t_j > 0 per orbit of the
     # maps z1 -> +-z1, +-i z1, +-conj(z1), +-i conj(z1): 4 nodes on the
@@ -153,15 +165,23 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
 
             # every cell centre lies within 0.9975 r0 of c0, so a disk
             # covering the smallest one holds them all
-            pts = c0 + r0 * cell_xy
-            inside = np.ones(pts.shape, dtype=bool)
+            np.add(c0, np.multiply(r0, cell_xy, out=pts), out=pts)  # c0 + r0 * cell_xy
+            inside.fill(True)
             partial = dists + r0 > radii
             for cn, rn in zip(centers[partial], radii[partial]):
-                inside &= np.abs(pts - cn) <= rn
+                # inside &= abs(pts - cn) <= rn
+                np.abs(np.subtract(pts, cn, out=diff), out=grid)
+                inside &= np.less_equal(grid, rn, out=near)
             if not inside.any():
                 continue
-            dens = np.exp(-np.abs(pts) ** 2) / math.pi
-            mass = float((r0 * r0) * ((dens * inside) * cell_area_factor).sum())
+            # (exp(-abs(pts) ** 2) / pi * inside) * cell_area_factor
+            np.square(np.abs(pts, out=grid), out=grid)
+            np.exp(np.negative(grid, out=grid), out=grid)
+            np.divide(grid, math.pi, out=grid)
+            np.multiply(grid, inside, out=grid)
+            np.multiply(grid, cell_area_factor, out=grid)
+            mass = float((r0 * r0) * grid.sum())
             total += weight * mass
+    give_back(slab)
 
     return min(1.0, max(0.0, total / math.pi))

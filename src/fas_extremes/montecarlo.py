@@ -21,10 +21,12 @@ yield, so it is idle while the caller holds a chunk. Each block is
 drawn from the same stream position, into the same shape, and mapped
 by the same matmul call as in a serial loop, so the results cannot
 depend on the overlap, and every reduction runs in worker order on the
-calling thread. Only the yielded block is a fresh array per chunk.
-Each public estimator is a plain loop over those chunks: hit counts for
-outage, and exact integer sums of the per-trial count and its square
-for the upcrossings.
+calling thread. The latent buffers and both gain blocks are views of
+one scratch slab (specialfn.borrow), reused from call to call, so no
+chunk costs a fresh array; a yielded chunk is valid only until the
+next one is requested. Each public estimator is a plain loop over those
+chunks: hit counts for outage, and exact integer sums of the per-trial
+count and its square for the upcrossings.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -50,7 +52,7 @@ from .fieldmodel import (
     cholesky,
     correlation_matrix,
 )
-from .specialfn import DomainError
+from .specialfn import DomainError, borrow, give_back
 
 __all__ = [
     "McConfig",
@@ -61,7 +63,11 @@ __all__ = [
     "truncated_gain_matrix",
 ]
 
-_CHUNK_BUDGET = 4_000_000  # floats per chunk row-block, keeps peak memory modest
+# Floats per chunk row-block (past about 3900 ports the 1024-row floor
+# exceeds it), which keeps peak memory modest. It also bounds the scratch
+# slab the process keeps after a call: four such blocks at most (two
+# latent, two gain), so 128 MB; 32 MB for N = 200 with 5000-trial slices.
+_CHUNK_BUDGET = 4_000_000
 # Multiply-adds in one block's product (rows x latent x ports) below which
 # the draws stay on the calling thread: the overlap can save at most the
 # product's time (about 2 ms on a 2-vCPU Xeon at one BLAS thread), while
@@ -113,12 +119,17 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
     bit-stable for one BLAS build and thread count. When a block's
     product has at least _OVERLAP_MIN multiply-adds, one helper thread
     draws the next latent block into the second of two buffers while
-    this thread maps the current one; otherwise this thread draws it
-    itself, just before. The helper's draw is awaited before each
+    this thread maps the current one; otherwise there is one latent
+    buffer, and this thread draws the next block into it once the
+    current one is mapped. The helper's draw is awaited before each
     yield, so it waits idle while the caller holds a chunk, and it is
-    stopped and joined when the generator finishes or is closed. The
-    buffers and the real-part gains are reused; each yielded block is a
-    fresh array the caller may keep.
+    stopped and joined when the generator finishes or is closed.
+
+    The buffers and both gain blocks are carved from one scratch slab,
+    borrowed on the first request and given back when the generator
+    finishes or is closed, after the helper is joined. Each yielded
+    chunk is a view of it: the caller may read it until it requests
+    the next chunk, and must copy what it keeps longer.
     """
     nports, ncols = mat.shape
     base, extra = divmod(cfg.trials, cfg.workers)
@@ -151,47 +162,54 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
                 failures.append(exc)
             drawn.release()
 
-    z, z_next = np.empty((step, ncols)), np.empty((step, ncols))
-    gr = np.empty((step, nports))
-    blocks = latent_blocks()
-    rng, m = next(blocks)
-    _fill(rng, z[:m])
-    real = True
+    overlap = step * ncols * nports >= _OVERLAP_MIN
+    # z, the helper's z_next, and the real- and imaginary-part gains
+    nz, ng = step * ncols, step * nports
+    nlatent = 2 * nz if overlap else nz
+    slab = borrow(nlatent + 2 * ng)
+    z = slab[:nz].reshape(step, ncols)
+    z_next = slab[nz:nlatent].reshape(step, ncols) if overlap else None
+    gr = slab[nlatent : nlatent + ng].reshape(step, nports)
+    gi = slab[nlatent + ng : nlatent + 2 * ng].reshape(step, nports)
     helper = None
-    if step * ncols * nports >= _OVERLAP_MIN:
+    if overlap:
         # daemon: a generator dropped unclosed at exit must not block the exit
         helper = threading.Thread(target=draw_ahead, daemon=True)
         helper.start()
+    blocks = latent_blocks()
     try:
+        rng, m = next(blocks)
+        _fill(rng, z[:m])
+        real = True
         while True:
             ahead = next(blocks, None)
-            if ahead is not None:
-                job = (ahead[0], z_next[: ahead[1]])
-                if helper is None:
-                    _fill(*job)
-                else:
-                    jobs.append(job)
-                    requested.release()
-            g = gr[:m] if real else np.empty((m, nports))
+            if ahead is not None and helper is not None:
+                jobs.append((ahead[0], z_next[: ahead[1]]))
+                requested.release()
+            g = gr[:m] if real else gi[:m]
             np.matmul(z[:m], mat.T, out=g)
             np.square(g, out=g)
-            if ahead is not None and helper is not None:
-                drawn.acquire()
-                if failures:
-                    raise failures[0]
+            if ahead is not None:
+                if helper is None:
+                    _fill(ahead[0], z[: ahead[1]])  # z is free once mapped
+                else:
+                    drawn.acquire()
+                    if failures:
+                        raise failures[0]
+                    z, z_next = z_next, z
             if not real:
                 g += gr[:m]  # addition commutes, so the order of the parts is moot
                 yield g
             if ahead is None:
                 return
             _, m = ahead
-            z, z_next = z_next, z
             real = not real
     finally:
         if helper is not None:
             jobs.append(None)
             requested.release()
             helper.join()
+        give_back(slab)  # after the join: the helper may still be drawing into it
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:

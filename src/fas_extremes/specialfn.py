@@ -6,6 +6,11 @@ float64 math on the standard library. Marcum Q1 takes scalars but
 evaluates its Poisson mixture as NumPy arrays, one dot product per call.
 The quadrature rules are numpy's (Golub-Welsch) wrapped in
 QuadratureRule, built once per order and cached with read-only arrays.
+
+The module also keeps the package's one scratch slab (borrow,
+give_back): a flat float64 array that the Monte Carlo chunks and the
+rank-2 quadrature cells are carved from. Reusing it spares every call
+the fresh, zero-filled pages a new large array costs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ __all__ = [
 
 _SERIES_CUTOFF = 12.0  # power series below, Hankel asymptotics above
 _MAX_WINDOW = 1 << 20  # Poisson terms per marcum_q1 window
+# The idle scratch slab, if any. list.pop and slice assignment are each
+# one atomic step, so two live borrowers, in one thread or two, never
+# hold the same slab.
+_SCRATCH: list[np.ndarray] = []
 
 
 class DomainError(ValueError):
@@ -58,6 +67,27 @@ class QuadratureRule:
             raise DomainError("node/weight length mismatch")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+
+
+def borrow(n: int) -> np.ndarray:
+    """A flat float64 scratch array of at least n elements.
+
+    The caller owns it until it hands it to give_back, and must not
+    touch it after that; a slab never given back is simply dropped. Its
+    contents are whatever the last owner left. The idle slab is reused
+    when it is large enough; otherwise a new one is made, and the
+    smaller one is dropped.
+    """
+    try:
+        slab = _SCRATCH.pop()
+    except IndexError:
+        slab = None
+    return slab if slab is not None and slab.size >= n else np.empty(n)
+
+
+def give_back(slab: np.ndarray) -> None:
+    """End the caller's use of a slab from borrow; keep it for the next one."""
+    _SCRATCH[:] = [slab]
 
 
 def bessel_j0(x: float) -> float:

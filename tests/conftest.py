@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fas_extremes import specialfn
 from fas_extremes.fieldmodel import ApertureConfig, correlation_matrix, eigendecompose
 from fas_extremes.kernels import CorrelationModel
 
@@ -41,3 +42,11 @@ def gauss_matrix_20_1():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def scratch(monkeypatch):
+    """A private, empty scratch-slab pool for one test: its idle slab, if any."""
+    pool: list = []
+    monkeypatch.setattr(specialfn, "_SCRATCH", pool)
+    return pool

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fas_extremes
@@ -116,6 +117,24 @@ class TestDeterminism:
         assert body_lines(a) == body_lines(b)
         with open(a, encoding="ascii") as fh:
             assert any(ln.startswith("# timestamp:") for ln in fh)
+
+    def test_warm_scratch_slab_leaves_bodies_unchanged(self, tmp_path, scratch):
+        # the second round runs on a scratch slab the first one left,
+        # filled with NaN, which any cell that read stale scratch would show
+        runs = (
+            ["kl-convergence", "--N", "20", "--K", "4", "--trials", "2000", "--workers", "2"],
+            ["outage-snr", "--N", "10", "--snr-db", "-5,0,5", "--trials", "2000"],
+        )
+        bodies = []
+        for warm in (False, True):
+            for n, args in enumerate(runs):
+                if warm:
+                    (left,) = scratch
+                    left.fill(np.nan)
+                out = tmp_path / f"{warm}-{n}.csv"
+                assert main([*args, "--out", str(out)]) == 0
+                bodies.append(body_lines(out))
+        assert bodies[:2] == bodies[2:]
 
     def test_seed_env_fallback_and_flag_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FAS_SEED", "777")

@@ -190,6 +190,25 @@ class TestRank2:
             expect = _rank2_full_grid(spec, x)
             assert outage_rank2(spec, x) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    def test_warm_scratch_slab_changes_no_bit(self, scratch, gauss_matrix_20_1):
+        # the quadrature's cells come from the scratch slab, here one that
+        # a larger Monte Carlo call left behind, then filled with NaN
+        spec = eigendecompose(gauss_matrix_20_1)
+        xs = [ThresholdSpec(avg_snr_db=s, threshold_db=0.0).x for s in (-15.0, -5.0, 0.0, 5.0)]
+        cold = []
+        for x in xs:
+            scratch.clear()
+            cold.append(outage_rank2(spec, x).hex())
+        cfg = McConfig(trials=20_000, seed=1, workers=2)
+        simulate_outage_truncated(kl_truncate(spec, 20), 1.0, cfg)
+        (left,) = scratch
+        assert left.size > 7 * 200 * 200  # more than the quadrature needs
+        assert [outage_rank2(spec, x).hex() for x in xs] == cold
+        for x, expect in zip(xs, cold):
+            left.fill(np.nan)
+            assert outage_rank2(spec, x).hex() == expect
+            assert scratch == [left]
+
     def test_between_rank1_and_full(self, gauss_spectrum_20_2):
         # extra modes add diversity, so outage falls with rank
         x = 1.0

@@ -233,7 +233,8 @@ class TestGainChunks:
         mat = montecarlo.truncated_gain_matrix(
             kl_truncate(eigendecompose(correlation_matrix(config)), rank)
         )
-        chunks = list(_gain_chunks(mat, McConfig(trials=2500, seed=9, workers=workers)))
+        cfg = McConfig(trials=2500, seed=9, workers=workers)
+        chunks = [c.copy() for c in _gain_chunks(mat, cfg)]
         sizes = {1: [[1024, 1024, 452]], 2: [[1024, 226], [1024, 226]]}[workers]
         assert [c.shape for c in chunks] == [(m, 6) for slice_ in sizes for m in slice_]
         blocks = iter(chunks)
@@ -295,7 +296,7 @@ class TestDrawAhead:
                 (montecarlo.truncated_gain_matrix(kl), simulate_outage_truncated(kl, self.XS, cfg)),
             ):
                 ref = list(_serial_gain_chunks(mat, cfg))
-                got = list(_gain_chunks(mat, cfg))
+                got = [c.copy() for c in _gain_chunks(mat, cfg)]
                 assert len(got) == len(ref)
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref))
                 best = np.concatenate([c.max(axis=1) for c in ref])
@@ -310,7 +311,8 @@ class TestDrawAhead:
         mat = cholesky(_gauss_n8()).lower
         before = threading.active_count()
         if stop == "exhausted":
-            chunks = list(_gain_chunks(mat, McConfig(trials=5_003, seed=3, workers=2)))
+            cfg = McConfig(trials=5_003, seed=3, workers=2)
+            chunks = [c.copy() for c in _gain_chunks(mat, cfg)]
             assert sum(len(c) for c in chunks) == 5_003
         elif stop == "break":
             # 10^9 workers of 1000 trials each: only the first is ever keyed
@@ -365,6 +367,93 @@ class TestDrawAhead:
                    zip(_gain_chunks(mat, cfg), _serial_gain_chunks(mat, cfg), strict=True))
         assert threads[0] is threading.current_thread()
         assert {t is threads[0] for t in threads[1:]} == {not helper}
+
+
+class TestScratchSlab:
+    """Every chunk is carved from a reused slab, which must change no result."""
+
+    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers, overlap):
+        # 1024-row chunks: 5003 trials end every worker's slice on a
+        # short chunk, which leaves stale rows past it in the slab
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        if overlap is not None:
+            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
+        R = correlation_matrix(config)
+        factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
+        cfg = McConfig(trials=5_003, seed=11, workers=workers)
+        calls = (
+            lambda: simulate_outage(factor, [0.3, 1.0, 2.5], cfg),
+            lambda: simulate_outage_truncated(kl, [0.3, 1.0, 2.5], cfg),
+            lambda: count_upcrossings(config, 1.0, cfg),
+        )
+        cold = []
+        for call in calls:
+            scratch.clear()
+            cold.append(call())
+        for call, expect in zip(calls, cold):
+            poisoned = np.full(100_000, np.nan)
+            scratch[:] = [poisoned]
+            assert call() == expect
+            assert scratch == [poisoned]  # the NaN slab was the one used
+
+    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
+    def test_live_generators_own_their_slabs(self, monkeypatch, scratch, overlap):
+        # two generators interleaved, and at every step a third one that
+        # is closed by break and leaves its slab idle for the next
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        if overlap is not None:
+            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+        full = cholesky(_gauss_n8()).lower
+        truncated = montecarlo.truncated_gain_matrix(kl_truncate(eigendecompose(_gauss_n8()), 3))
+        cfg_a = McConfig(trials=5_003, seed=3, workers=2)
+        cfg_b = McConfig(trials=5_003, seed=4, workers=2)
+        cfg_c = McConfig(trials=500, seed=5)  # needs less slab than a or b
+        first_c = next(_serial_gain_chunks(full, cfg_c))
+        steps = 0
+        for a, b, ref_a, ref_b in zip(
+            _gain_chunks(full, cfg_a), _gain_chunks(truncated, cfg_b),
+            _serial_gain_chunks(full, cfg_a), _serial_gain_chunks(truncated, cfg_b),
+            strict=True,
+        ):
+            for c in _gain_chunks(full, cfg_c):
+                assert not np.shares_memory(c, a) and not np.shares_memory(c, b)
+                assert np.array_equal(c, first_c)
+                break
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+            steps += 1
+        assert steps == 6
+        assert len(scratch) == 1
+
+
+_FAULT_PROBE = """
+import resource, sys
+from fas_extremes import cli
+argv = ["kl-convergence", "--N", "64", "--W", "1", "--K", "12", "--snr-db", "-5,5",
+        "--trials", "6000", "--workers", "2", "--out", sys.argv[1]]
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeated_cli_call_takes_few_page_faults(tmp_path):
+    # kl-ladder's argv: 26 sampler calls per CLI call. Fresh chunk
+    # buffers there cost about 31,000 minor faults per call; the reused
+    # scratch slab leaves a warm call almost none.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "kl.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 1_000
 
 
 _BLAS_PROBE = """
@@ -488,7 +577,7 @@ class TestUpcrossings:
         cfg = McConfig(trials=5_003, seed=5, workers=3)
         mean, se = count_upcrossings(config, 1.0, cfg)
         gains = np.concatenate(
-            list(_gain_chunks(cholesky(correlation_matrix(config)).lower, cfg))
+            [c.copy() for c in _gain_chunks(cholesky(correlation_matrix(config)).lower, cfg)]
         )
         cross = ((gains[:, :-1] < 1.0) & (gains[:, 1:] >= 1.0)).sum(axis=1)
         assert cross.std() > 0
