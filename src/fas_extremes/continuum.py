@@ -59,8 +59,8 @@ def outage_continuous(x: float, W: float) -> ContinuumResult:
     """
     x = float(x)
     W = float(W)
-    if not (x > 0) or W < 0:
-        raise DomainError("need x > 0 and W >= 0")
+    if not (0 < x < math.inf and 0 <= W < math.inf):
+        raise DomainError(f"need finite x > 0 and W >= 0, got x={x!r}, W={W!r}")
     exceedance = math.exp(-x) * (1.0 + W * math.sqrt(LAMBDA2) * x)
     raw = 1.0 - exceedance
     value = min(1.0, max(0.0, raw))
@@ -74,6 +74,6 @@ def rice_upcrossing_rate(u: float) -> float:
     this. See the module docstring for the prefactor caveat.
     """
     u = float(u)
-    if not (u > 0):
-        raise DomainError(f"level u must be positive, got {u!r}")
+    if not (0 < u < math.inf):
+        raise DomainError(f"level u must be positive and finite, got {u!r}")
     return math.sqrt(LAMBDA2 / (2.0 * math.pi)) * u * math.exp(-u)

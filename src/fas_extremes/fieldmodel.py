@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CorrelationModel, correlation
-from .specialfn import DomainError
+from .specialfn import DomainError, is_whole
 
 __all__ = [
     "ApertureConfig",
@@ -51,7 +51,7 @@ class ApertureConfig:
     def __post_init__(self):
         if not (self.W > 0) or not math.isfinite(self.W):
             raise DomainError(f"aperture W must be positive, got {self.W!r}")
-        if int(self.N) != self.N or self.N < 1:
+        if not is_whole(self.N) or self.N < 1:
             raise DomainError(f"port count N must be an integer >= 1, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
 

@@ -11,22 +11,22 @@ stream; it does not set a thread count.
 
 One private generator (_gain_chunks) yields every chunk of squared port
 gains, rows are trials, in worker order. Each chunk is a real-part
-latent block, then an imaginary-part block, each drawn from its
-worker's stream and mapped to the ports by one matmul. While the
-calling thread maps block k, one helper thread draws block k + 1 into
-the other of two latent buffers, when a block's product is large
-enough to be worth the handoff (_OVERLAP_MIN); smaller ones are drawn
-on the calling thread. The helper's draw is awaited before every
-yield, so it is idle while the caller holds a chunk. Each block is
-drawn from the same stream position, into the same shape, and mapped
-by the same matmul call as in a serial loop, so the results cannot
-depend on the overlap, and every reduction runs in worker order on the
-calling thread. The latent buffers and both gain blocks are views of
-one scratch slab (specialfn.borrow), reused from call to call, so no
-chunk costs a fresh array; a yielded chunk is valid only until the
-next one is requested. Each public estimator is a plain loop over those
-chunks: hit counts for outage, and exact integer sums of the per-trial
-count and its square for the upcrossings.
+latent block, then an imaginary-part block, each drawn from its worker's
+stream and mapped to the ports by one matmul. While the calling thread
+maps block k, a one-thread concurrent.futures pool draws block k + 1
+into the other of two latent buffers, when a block's product is large
+enough to be worth the handoff (_OVERLAP_MIN); smaller ones are drawn on
+the calling thread. The pool's draw is awaited, and a failed draw
+re-raised, before every yield, so the pool is idle while the caller
+holds a chunk. Each block is drawn from the same stream position, into
+the same shape, and mapped by the same matmul call as in a serial loop,
+so the results cannot depend on the overlap, and every reduction runs in
+worker order on the calling thread. The latent buffers and both gain
+blocks are views of one scratch slab (specialfn.borrow), reused from
+call to call, so no chunk costs a fresh array; a yielded chunk is valid
+only until the next one is requested. Each public estimator is a plain
+loop over those chunks: hit counts for outage, and exact integer sums of
+the per-trial count and its square for the upcrossings.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -38,8 +38,8 @@ pass over the field instead of one per point.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -52,7 +52,7 @@ from .fieldmodel import (
     cholesky,
     correlation_matrix,
 )
-from .specialfn import DomainError, borrow, give_back
+from .specialfn import DomainError, borrow, give_back, is_whole
 
 __all__ = [
     "McConfig",
@@ -71,8 +71,8 @@ _CHUNK_BUDGET = 4_000_000
 # Multiply-adds in one block's product (rows x latent x ports) below which
 # the draws stay on the calling thread: the overlap can save at most the
 # product's time (about 2 ms on a 2-vCPU Xeon at one BLAS thread), while
-# each handoff wakes a thread, which on a loaded shared host can take about
-# as long and varies from run to run.
+# each handoff wakes the pool's thread, which on a loaded shared host can
+# take about as long and varies from run to run.
 _OVERLAP_MIN = 2 ** 25
 
 
@@ -83,11 +83,11 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not is_whole(self.trials) or self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if int(self.workers) != self.workers or self.workers < 1:
+        if not is_whole(self.workers) or self.workers < 1:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2 ** 64):
+        if not is_whole(self.seed) or not (0 <= self.seed < 2 ** 64):
             raise DomainError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "workers", int(self.workers))
@@ -117,17 +117,18 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
     (Cholesky factor for the full model, U_K sqrt(L_K) for truncated).
     Two real matmuls beat one complex one and keep the arithmetic
     bit-stable for one BLAS build and thread count. When a block's
-    product has at least _OVERLAP_MIN multiply-adds, one helper thread
-    draws the next latent block into the second of two buffers while
-    this thread maps the current one; otherwise there is one latent
-    buffer, and this thread draws the next block into it once the
-    current one is mapped. The helper's draw is awaited before each
-    yield, so it waits idle while the caller holds a chunk, and it is
-    stopped and joined when the generator finishes or is closed.
+    product has at least _OVERLAP_MIN multiply-adds, a one-thread
+    ThreadPoolExecutor draws the next latent block into the second of
+    two buffers while this thread maps the current one; otherwise there
+    is one latent buffer, and this thread draws the next block into it
+    once the current one is mapped. Each draw's future is read before
+    the next yield, which re-raises a failed draw here and leaves the
+    pool idle while the caller holds a chunk; the pool is shut down,
+    its thread joined, when the generator finishes or is closed.
 
     The buffers and both gain blocks are carved from one scratch slab,
     borrowed on the first request and given back when the generator
-    finishes or is closed, after the helper is joined. Each yielded
+    finishes or is closed, after the pool is shut down. Each yielded
     chunk is a view of it: the caller may read it until it requests
     the next chunk, and must copy what it keeps longer.
     """
@@ -146,70 +147,43 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
                 yield rng, m  # real part
                 yield rng, m  # imaginary part
 
-    jobs: list = []  # (stream, buffer) to fill, in order; None stops the helper
-    failures: list[BaseException] = []
-    requested, drawn = threading.Semaphore(0), threading.Semaphore(0)
-
-    def draw_ahead():
-        while True:
-            requested.acquire()
-            job = jobs.pop(0)
-            if job is None:
-                return
-            try:
-                _fill(*job)
-            except BaseException as exc:  # raised by the calling thread at its wait
-                failures.append(exc)
-            drawn.release()
-
     overlap = step * ncols * nports >= _OVERLAP_MIN
-    # z, the helper's z_next, and the real- and imaginary-part gains
+    # latent buffers (a second one for the pool's draw ahead), then the
+    # real- and imaginary-part gains; block k uses zs[k % len(zs)], gs[k % 2]
     nz, ng = step * ncols, step * nports
     nlatent = 2 * nz if overlap else nz
     slab = borrow(nlatent + 2 * ng)
-    z = slab[:nz].reshape(step, ncols)
-    z_next = slab[nz:nlatent].reshape(step, ncols) if overlap else None
-    gr = slab[nlatent : nlatent + ng].reshape(step, nports)
-    gi = slab[nlatent + ng : nlatent + 2 * ng].reshape(step, nports)
-    helper = None
-    if overlap:
-        # daemon: a generator dropped unclosed at exit must not block the exit
-        helper = threading.Thread(target=draw_ahead, daemon=True)
-        helper.start()
+    zs = [slab[i : i + nz].reshape(step, ncols) for i in range(0, nlatent, nz)]
+    gs = [slab[i : i + ng].reshape(step, nports) for i in (nlatent, nlatent + ng)]
+    if overlap:  # imported here: concurrent.futures loads logging, ~10 ms of start-up
+        from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=1) if overlap else None
     blocks = latent_blocks()
     try:
         rng, m = next(blocks)
-        _fill(rng, z[:m])
-        real = True
-        while True:
+        _fill(rng, zs[0][:m])
+        for k in itertools.count():
+            z, g = zs[k % len(zs)], gs[k % 2][:m]
             ahead = next(blocks, None)
-            if ahead is not None and helper is not None:
-                jobs.append((ahead[0], z_next[: ahead[1]]))
-                requested.release()
-            g = gr[:m] if real else gi[:m]
+            if ahead is not None and pool is not None:
+                drawn = pool.submit(_fill, ahead[0], zs[(k + 1) % 2][: ahead[1]])
             np.matmul(z[:m], mat.T, out=g)
             np.square(g, out=g)
             if ahead is not None:
-                if helper is None:
+                if pool is None:
                     _fill(ahead[0], z[: ahead[1]])  # z is free once mapped
                 else:
-                    drawn.acquire()
-                    if failures:
-                        raise failures[0]
-                    z, z_next = z_next, z
-            if not real:
-                g += gr[:m]  # addition commutes, so the order of the parts is moot
+                    drawn.result()  # re-raises a failed draw here
+            if k % 2:
+                g += gs[0][:m]  # addition commutes, so the order of the parts is moot
                 yield g
             if ahead is None:
                 return
             _, m = ahead
-            real = not real
     finally:
-        if helper is not None:
-            jobs.append(None)
-            requested.release()
-            helper.join()
-        give_back(slab)  # after the join: the helper may still be drawing into it
+        if pool is not None:
+            pool.shutdown()  # waits for a draw still in flight
+        give_back(slab)  # after the shutdown: the pool may still be drawing into it
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:

@@ -48,6 +48,14 @@ def _check_finite(x: float, name: str) -> float:
     return x
 
 
+def is_whole(v) -> bool:
+    """Whether v equals an integer; False for inf and nan, where int() raises."""
+    try:
+        return int(v) == v
+    except (OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss quadrature nodes and weights, nodes ascending.

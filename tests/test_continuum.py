@@ -46,6 +46,9 @@ class TestAdlerTaylor:
             outage_continuous(-1.0, 1.0)
         with pytest.raises(DomainError):
             outage_continuous(1.0, -0.5)
+        for x, W in ((math.inf, 0.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                outage_continuous(x, W)
         # W = 0 is the point-aperture limit 1 - e^-u, not an error
         assert outage_continuous(3.0, 0.0).value == pytest.approx(
             1.0 - math.exp(-3.0), rel=1e-15
@@ -89,5 +92,6 @@ class TestRiceRate:
         assert abs(at3 - classical3) / classical3 > 0.1
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            rice_upcrossing_rate(-0.5)
+        for u in (-0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                rice_upcrossing_rate(u)

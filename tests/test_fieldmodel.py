@@ -60,6 +60,9 @@ class TestCorrelationMatrix:
             ApertureConfig(W=0.0, N=10, model=CorrelationModel.JAKES)
         with pytest.raises(DomainError):
             ApertureConfig(W=1.0, N=0, model=CorrelationModel.JAKES)
+        for N in (math.inf, math.nan):  # DomainError, not int()'s OverflowError or ValueError
+            with pytest.raises(DomainError):
+                ApertureConfig(W=1.0, N=N, model=CorrelationModel.JAKES)
 
 
 class TestEigendecompose:
