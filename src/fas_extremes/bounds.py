@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import DomainError, gauss_laguerre, marcum_q1
+from .specialfn import DomainError, gauss_laguerre, marcum_q1, real, whole
 
 # Gauss-Laguerre order of the common-factor mixture in equicorr_cdf_exact
 _QUAD_POINTS = 64
@@ -63,13 +63,6 @@ class BlockPartition:
     rho_cross_max: float
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho!r}")
-    return rho
-
-
 def equicorr_cdf_series(x: float, rho: float, N: int) -> SeriesCdfResult:
     """Alternating binomial series for the equi-correlated max-gain CDF.
 
@@ -81,11 +74,7 @@ def equicorr_cdf_series(x: float, rho: float, N: int) -> SeriesCdfResult:
     false whenever the value leaves [0, 1] or the x -> infinity limit
     differs from 1.
     """
-    rho = _check_rho(rho)
-    x = float(x)
-    if x < 0 or int(N) != N or N < 1:
-        raise DomainError("need x >= 0 and integer N >= 1")
-    N = int(N)
+    x, rho, N = real(x, "x", 0.0), real(rho, "rho", 0.0, 1.0), whole(N, "N")
     total = 0.0
     for k in range(N + 1):
         denom = 1.0 + (k - 1.0) * rho
@@ -107,11 +96,7 @@ def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
     with Q1 the Marcum function. The expectation is a 64-point
     Gauss-Laguerre sum.
     """
-    rho = _check_rho(rho)
-    x = float(x)
-    if x < 0 or int(N) != N or N < 1:
-        raise DomainError("need x >= 0 and integer N >= 1")
-    N = int(N)
+    x, rho, N = real(x, "x", 0.0), real(rho, "rho", 0.0, 1.0), whole(N, "N")
     if x == 0.0:
         return 0.0
     if rho < 1e-14:
@@ -165,15 +150,7 @@ def slepian_sandwich(R: np.ndarray, x: float) -> tuple[float, float]:
 
 def _partition_indices(n: int, B: int) -> list[tuple[int, int]]:
     """Contiguous near-equal blocks; remainder goes to the leading blocks."""
-    base = n // B
-    extra = n % B
-    out = []
-    start = 0
-    for b in range(B):
-        size = base + (1 if b < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
+    return [(int(part[0]), int(part[-1]) + 1) for part in np.array_split(np.arange(n), B)]
 
 
 def block_refined_bound(R: np.ndarray, x: float, B: int) -> tuple[float, BlockPartition]:
@@ -198,9 +175,7 @@ def block_refined_bound(R: np.ndarray, x: float, B: int) -> tuple[float, BlockPa
     """
     m = np.asarray(R, dtype=float)
     n = m.shape[0]
-    B = int(B)
-    if not (1 <= B <= n):
-        raise DomainError(f"block count B must be in [1, {n}], got {B}")
+    B = whole(B, "block count B", 1, n)
     blocks = _partition_indices(n, B)
     rho_mins = []
     bound = 1.0

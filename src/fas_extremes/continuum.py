@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .kernels import LAMBDA2
-from .specialfn import DomainError
+from .specialfn import positive, real
 
 __all__ = ["ContinuumResult", "outage_continuous", "rice_upcrossing_rate"]
 
@@ -57,10 +57,7 @@ def outage_continuous(x: float, W: float) -> ContinuumResult:
     moderate-to-large x; small x drives the exceedance past 1, and the
     outage clamps to 0. W = 0 is the single-port limit 1 - e^{-x}.
     """
-    x = float(x)
-    W = float(W)
-    if not (0 < x < math.inf and 0 <= W < math.inf):
-        raise DomainError(f"need finite x > 0 and W >= 0, got x={x!r}, W={W!r}")
+    x, W = positive(x, "x"), real(W, "W", 0.0)
     exceedance = math.exp(-x) * (1.0 + W * math.sqrt(LAMBDA2) * x)
     raw = 1.0 - exceedance
     value = min(1.0, max(0.0, raw))
@@ -73,7 +70,5 @@ def rice_upcrossing_rate(u: float) -> float:
     Expected crossings over an aperture of W wavelengths is W times
     this. See the module docstring for the prefactor caveat.
     """
-    u = float(u)
-    if not (0 < u < math.inf):
-        raise DomainError(f"level u must be positive and finite, got {u!r}")
+    u = positive(u, "level u")
     return math.sqrt(LAMBDA2 / (2.0 * math.pi)) * u * math.exp(-u)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .kernels import CorrelationModel
-from .specialfn import DomainError
+from .specialfn import DomainError, positive
 
 __all__ = ["participation_ratio", "keff_asymptotic"]
 
@@ -26,8 +26,8 @@ def participation_ratio(R: np.ndarray) -> float:
     """
     m = np.asarray(R, dtype=float)
     n = m.shape[0]
-    if not np.allclose(np.diag(m), 1.0, atol=1e-9):
-        raise DomainError("participation ratio expects a unit-diagonal matrix")
+    if not (np.isfinite(m).all() and np.allclose(np.diag(m), 1.0, atol=1e-9)):
+        raise DomainError("participation ratio expects a finite, unit-diagonal matrix")
     return float(n * n / (m * m).sum())
 
 
@@ -39,9 +39,7 @@ def keff_asymptotic(model: CorrelationModel, W: float) -> float:
     aperture length over the correlation length of rho_G^2). Bessel
     kernel: 2W + 1.
     """
-    W = float(W)
-    if not (W > 0) or not math.isfinite(W):
-        raise DomainError(f"aperture W must be positive, got {W!r}")
+    W = positive(W, "aperture W")
     if model is CorrelationModel.GAUSSIAN:
         return math.pi * math.sqrt(2.0) * W
     return 2.0 * W + 1.0

@@ -13,13 +13,12 @@ factorizations go through Cholesky with an escalating diagonal jitter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import CorrelationModel, correlation
-from .specialfn import DomainError, is_whole
+from .specialfn import DomainError, positive, whole
 
 __all__ = [
     "ApertureConfig",
@@ -49,11 +48,8 @@ class ApertureConfig:
     model: CorrelationModel
 
     def __post_init__(self):
-        if not (self.W > 0) or not math.isfinite(self.W):
-            raise DomainError(f"aperture W must be positive, got {self.W!r}")
-        if not is_whole(self.N) or self.N < 1:
-            raise DomainError(f"port count N must be an integer >= 1, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "W", positive(self.W, "aperture W"))
+        object.__setattr__(self, "N", whole(self.N, "port count N"))
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,8 @@ def cholesky(R: np.ndarray) -> CholeskyFactor:
     can surface it in metadata.
     """
     m = np.asarray(R, dtype=float)
+    if not np.isfinite(m).all():
+        raise DomainError("cholesky needs a matrix with finite entries")
     n = m.shape[0]
     eye = np.eye(n)
     for jit in JITTER_LADDER:
@@ -174,10 +172,8 @@ def kl_truncate(spec: EigenSpectrum, K: int) -> KlSpec:
     truncation_error = 1 - sum(lambda_1..K)/N, using the trace identity
     sum(lambda) = N for unit-diagonal correlation matrices.
     """
-    K = int(K)
     n = spec.dim
-    if not (1 <= K <= n):
-        raise DomainError(f"truncation rank K must be in [1, {n}], got {K}")
+    K = whole(K, "truncation rank K", 1, n)
     total = float(n)  # trace of a unit-diagonal correlation matrix
     kept = float(spec.eigenvalues[:K].sum())
     eps = max(0.0, 1.0 - kept / total)

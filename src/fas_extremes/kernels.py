@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .specialfn import DomainError, bessel_j0
+from .specialfn import DomainError, bessel_j0, real
 
 __all__ = [
     "CorrelationModel",
@@ -45,9 +45,7 @@ class CorrelationModel(enum.Enum):
 
 def correlation(model: CorrelationModel, delta: float) -> float:
     """Spatial correlation at separation delta (in wavelengths)."""
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta!r}")
+    delta = real(delta, "delta")
     if model is CorrelationModel.JAKES:
         return bessel_j0(2.0 * math.pi * abs(delta))
     return math.exp(-(math.pi ** 2) * delta * delta)
@@ -60,9 +58,7 @@ def approx_error(delta: float) -> tuple[float, float]:
     bound = pi^4 delta^4 / 4. The bound is only guaranteed to dominate
     for delta <= 0.30; beyond that callers get the raw numbers.
     """
-    delta = float(delta)
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
+    delta = real(delta, "delta", 0.0)
     actual = abs(
         correlation(CorrelationModel.JAKES, delta)
         - correlation(CorrelationModel.GAUSSIAN, delta)
@@ -79,9 +75,7 @@ def psd(model: CorrelationModel, f: float) -> float:
     Squared-exponential kernel: exp(-f^2)/sqrt(pi). The 1/sqrt(pi)
     normalization is forced by int S df = rho(0) = 1.
     """
-    f = float(f)
-    if not math.isfinite(f):
-        raise DomainError(f"f must be finite, got {f!r}")
+    f = real(f, "f")
     if model is CorrelationModel.JAKES:
         af = abs(f)
         if af > 1.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import EigenSpectrum
-from .specialfn import DomainError, borrow, gauss_hermite, give_back
+from .specialfn import DomainError, borrow, gauss_hermite, give_back, positive, real
 
 # Gauss-Hermite order per axis of outage_rank2's outer average over z1
 _QUAD_ORDER = 16
@@ -36,15 +36,8 @@ class ThresholdSpec:
         return 10.0 ** ((self.threshold_db - self.avg_snr_db) / 10.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.avg_snr_db) and math.isfinite(self.threshold_db)):
-            raise DomainError("dB fields must be finite")
-
-
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not (x > 0) or not math.isfinite(x):
-        raise DomainError(f"normalized threshold x must be positive, got {x!r}")
-    return x
+        for name in ("avg_snr_db", "threshold_db"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
 
 
 def outage_rank1(spec: EigenSpectrum, x: float) -> float:
@@ -53,7 +46,7 @@ def outage_rank1(spec: EigenSpectrum, x: float) -> float:
     The best port sees gain lambda1 c1 |z|^2 with z standard complex
     normal, so P_out = 1 - exp(-x / (lambda1 c1)).
     """
-    x = _check_x(x)
+    x = positive(x, "normalized threshold x")
     lambda1 = float(spec.eigenvalues[0])
     c1 = float(np.max(spec.eigenvectors[:, 0] ** 2))  # max_n |u_{n,1}|^2
     return 1.0 - math.exp(-x / (lambda1 * c1))
@@ -87,7 +80,7 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     so once x <~ 0.1 (10 dB and up at a 0 dB threshold) every outer node
     is rejected and the result is 0, below the true rank-2 outage.
     """
-    x = _check_x(x)
+    x = positive(x, "normalized threshold x")
     if spec.dim < 2:
         raise DomainError("rank-2 outage needs at least two ports")
 

@@ -52,7 +52,7 @@ from .fieldmodel import (
     cholesky,
     correlation_matrix,
 )
-from .specialfn import DomainError, borrow, give_back, is_whole
+from .specialfn import DomainError, borrow, give_back, positive, whole
 
 __all__ = [
     "McConfig",
@@ -83,15 +83,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not is_whole(self.trials) or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not is_whole(self.workers) or self.workers < 1:
-            raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
-        if not is_whole(self.seed) or not (0 <= self.seed < 2 ** 64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "workers", int(self.workers))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", whole(self.trials, "trials"))
+        object.__setattr__(self, "workers", whole(self.workers, "workers"))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", 0, 2**64 - 1))
 
 
 @dataclass(frozen=True)
@@ -251,9 +245,7 @@ def count_upcrossings(
     no sub-grid interpolation is attempted, so the count is biased low
     by O(1/N). Use N >= 100 W to keep that under a few percent.
     """
-    u = float(u)
-    if not (u > 0):
-        raise DomainError(f"level u must be positive, got {u!r}")
+    u = positive(u, "level u")
     if config.N < 2:
         raise DomainError("upcrossing counting needs at least two ports")
     s1 = s2 = 0  # sum(c) and sum(c*c) over trials, as Python ints

@@ -56,6 +56,19 @@ class TestSeries:
             equicorr_cdf_series(1.0, -0.1, 2)
         with pytest.raises(DomainError):
             equicorr_cdf_series(1.0, 1.0, 2)
+        # a NaN or infinite x or N raises the same error in both evaluators
+        for f, args in [
+            (equicorr_cdf_series, (1.0, 0.5, math.inf)),
+            (equicorr_cdf_series, (1.0, 0.5, math.nan)),
+            (equicorr_cdf_series, (math.nan, 0.5, 5)),
+            (equicorr_cdf_series, (math.inf, 0.5, 5)),
+            (equicorr_cdf_exact, (1.0, 0.5, math.inf)),
+            (equicorr_cdf_exact, (1.0, 0.5, math.nan)),
+            (equicorr_cdf_exact, (math.nan, 0.0, 5)),
+            (equicorr_cdf_exact, (math.inf, 0.0, 5)),
+        ]:
+            with pytest.raises(DomainError):
+                f(*args)
 
 
 class TestExact:
@@ -199,3 +212,6 @@ class TestBlockRefinedBound:
             block_refined_bound(gauss_matrix_20_1, 1.0, 0)
         with pytest.raises(DomainError):
             block_refined_bound(gauss_matrix_20_1, 1.0, 21)
+        for B in (2.5, math.nan, math.inf):  # never truncated to a count
+            with pytest.raises(DomainError):
+                block_refined_bound(gauss_matrix_20_1, 1.0, B)

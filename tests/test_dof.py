@@ -42,6 +42,10 @@ class TestParticipationRatio:
         with pytest.raises(DomainError):
             participation_ratio(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(DomainError):
+            participation_ratio(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
 
 class TestKeffAsymptotic:
     def test_formula_values(self):

@@ -186,6 +186,14 @@ class TestCholesky:
         with pytest.raises(FactorizationError):
             cholesky(m)
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_matrix_rejected(self, entry):
+        # LAPACK returns a NaN factor here, which samples as zero outage
+        m = correlation_matrix(ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN))
+        m[entry] = m[entry[::-1]] = math.nan
+        with pytest.raises(DomainError):
+            cholesky(m)
+
     def test_ladder_shape(self):
         assert JITTER_LADDER[0] == 0.0
         assert list(JITTER_LADDER) == sorted(JITTER_LADDER)
@@ -213,4 +221,7 @@ class TestKlTruncate:
             kl_truncate(gauss_spectrum_20_2, 0)
         with pytest.raises(DomainError):
             kl_truncate(gauss_spectrum_20_2, 21)
+        for K in (2.7, math.nan, math.inf):  # never truncated to a rank
+            with pytest.raises(DomainError):
+                kl_truncate(gauss_spectrum_20_2, K)
 

@@ -622,6 +622,16 @@ class TestUpcrossings:
         assert mean == pytest.approx(cross.mean(), rel=1e-13)
         assert se == pytest.approx(cross.std() / math.sqrt(cross.size), rel=1e-12)
 
+    def test_domain(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples for an invalid level")
+
+        monkeypatch.setattr(montecarlo, "_gain_chunks", no_draws)
+        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
+        for u in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                count_upcrossings(config, u, McConfig(trials=10))
+
     def test_needs_two_ports(self):
         with pytest.raises(DomainError):
             count_upcrossings(

@@ -164,6 +164,9 @@ class TestGaussHermite:
                 gauss_hermite(0)
             with pytest.raises(DomainError):
                 gauss_hermite(65)
+            for order in (2.5, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    gauss_hermite(order)
 
     def test_rule_is_immutable(self):
         rule = gauss_hermite(4)
@@ -200,6 +203,9 @@ class TestGaussLaguerre:
                 gauss_laguerre(0)
             with pytest.raises(DomainError):
                 gauss_laguerre(257)
+            for order in (2.5, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    gauss_laguerre(order)
 
     @pytest.mark.parametrize("order", [187, 256])
     def test_non_finite_rule_rejected(self, order):
