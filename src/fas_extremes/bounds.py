@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import DomainError, gauss_laguerre, marcum_q1, real, whole
+from .specialfn import DomainError, gauss_laguerre, marcum_q1, real, symmetric, whole
 
 # Gauss-Laguerre order of the common-factor mixture in equicorr_cdf_exact
 _QUAD_POINTS = 64
@@ -113,7 +113,7 @@ def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
 
 def rho_extremes(R: np.ndarray) -> CorrelationExtremes:
     """Extremes of |R[m, n]| over the off-diagonal entries."""
-    m = np.asarray(R, dtype=float)
+    m = symmetric(R, "rho_extremes R")
     n = m.shape[0]
     if n < 2:
         raise DomainError("correlation extremes need at least two ports")
@@ -141,8 +141,7 @@ def slepian_sandwich(R: np.ndarray, x: float) -> tuple[float, float]:
     Returns (lower, upper).
     """
     ext = rho_extremes(R)
-    m = np.asarray(R, dtype=float)
-    n = m.shape[0]
+    n = len(R)
     lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n)
     upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n)
     return lower, upper
@@ -173,7 +172,7 @@ def block_refined_bound(R: np.ndarray, x: float, B: int) -> tuple[float, BlockPa
     The partition reports the largest cross-block |correlation|
     rho_cross_max, which the surrogate sets to 0.
     """
-    m = np.asarray(R, dtype=float)
+    m = symmetric(R, "block_refined_bound R")
     n = m.shape[0]
     B = whole(B, "block count B", 1, n)
     blocks = _partition_indices(n, B)

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _matrix(model: str, N: int, W: float) -> np.ndarray:
-    return correlation_matrix(ApertureConfig(W=W, N=N, model=CorrelationModel.parse(model)))
+    return correlation_matrix(ApertureConfig(W=W, N=N, model=model))
 
 
 def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
@@ -266,11 +266,11 @@ def _run_outage_ports(args):
 
 def _run_kl_convergence(args):
     N = args.N
+    specs = {m: eigendecompose(_matrix(m, N, args.W)) for m in ("jakes", "gauss")}  # names a bad N
     k_max = N if args.K is None else args.K
     if not (1 <= k_max <= N):
         raise DomainError(f"K sweep limit must be in [1, {N}], got {k_max}")
     meta = {}
-    specs = {m: eigendecompose(_matrix(m, N, args.W)) for m in ("jakes", "gauss")}
     tags = [("m" if s < 0 else "p") + f"{abs(s):g}".replace(".", "_") for s in args.snr_db]
     for m in ("jakes", "gauss"):
         for tag, est in zip(tags, _mc(m, N, args.W, args.xs, args.cfg)):
@@ -292,12 +292,12 @@ def _run_kl_convergence(args):
 def _run_slepian_blocks(args):
     if args.model == "both":
         raise DomainError("slepian-blocks samples one model: --model must be jakes or gauss")
+    R = _matrix(args.model, args.N, args.W)  # before the checks on N, so a bad N is named
     if len(args.snr_db) != 1:
         raise DomainError(f"slepian-blocks takes one --snr-db value, got {len(args.snr_db)}")
     if not (1 <= args.blocks <= args.N):
         raise DomainError(f"--blocks must be in [1, {args.N}], got {args.blocks}")
     x = args.xs[0]
-    R = _matrix(args.model, args.N, args.W)
     est = simulate_outage(cholesky(R), x, args.cfg)
     lo, hi = slepian_sandwich(R, x)
     ext = rho_extremes(R)

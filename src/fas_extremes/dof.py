@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .kernels import CorrelationModel
-from .specialfn import DomainError, positive
+from .specialfn import DomainError, positive, symmetric
 
 __all__ = ["participation_ratio", "keff_asymptotic"]
 
@@ -24,14 +24,14 @@ def participation_ratio(R: np.ndarray) -> float:
     entries since tr(R^2) = sum of squared entries for symmetric R.
     Lies in [1, N]: 1 for full correlation, N for identity.
     """
-    m = np.asarray(R, dtype=float)
+    m = symmetric(R, "participation_ratio R")
     n = m.shape[0]
-    if not (np.isfinite(m).all() and np.allclose(np.diag(m), 1.0, atol=1e-9)):
-        raise DomainError("participation ratio expects a finite, unit-diagonal matrix")
+    if not np.allclose(np.diag(m), 1.0, atol=1e-9):
+        raise DomainError("participation ratio expects a unit-diagonal matrix")
     return float(n * n / (m * m).sum())
 
 
-def keff_asymptotic(model: CorrelationModel, W: float) -> float:
+def keff_asymptotic(model: CorrelationModel | str, W: float) -> float:
     """Printed effective mode count K_eff for an aperture of W wavelengths.
 
     Gaussian kernel: pi*sqrt(2)*W, the printed K_eff^G. It is not the
@@ -39,6 +39,7 @@ def keff_asymptotic(model: CorrelationModel, W: float) -> float:
     aperture length over the correlation length of rho_G^2). Bessel
     kernel: 2W + 1.
     """
+    model = CorrelationModel(model)
     W = positive(W, "aperture W")
     if model is CorrelationModel.GAUSSIAN:
         return math.pi * math.sqrt(2.0) * W

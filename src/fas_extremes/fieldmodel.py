@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CorrelationModel, correlation
-from .specialfn import DomainError, positive, whole
+from .specialfn import DomainError, positive, real, symmetric, whole
 
 __all__ = [
     "ApertureConfig",
     "EigenSpectrum",
-    "KlSpec",
     "CholeskyFactor",
     "FactorizationError",
     "correlation_matrix",
@@ -50,28 +49,32 @@ class ApertureConfig:
     def __post_init__(self):
         object.__setattr__(self, "W", positive(self.W, "aperture W"))
         object.__setattr__(self, "N", whole(self.N, "port count N"))
+        object.__setattr__(self, "model", CorrelationModel(self.model))
 
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Descending eigenvalues with matched orthonormal eigenvector columns."""
+    """Descending eigenvalues with matched orthonormal eigenvector columns.
+
+    All N modes, or the K leading ones from kl_truncate (N x K vectors).
+    Every eigenvalue must be finite and non-negative."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        for lam in self.eigenvalues.tolist():
+            real(lam, "eigenvalue", 0.0)
 
     @property
-    def dim(self) -> int:
+    def rank(self) -> int:
         return len(self.eigenvalues)
 
-
-@dataclass(frozen=True)
-class KlSpec:
-    """Leading K eigenpairs plus the energy fraction they leave behind."""
-
-    rank: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    truncation_error: float
+    @property
+    def truncation_error(self) -> float:
+        """1 - sum(lambda)/N, clamped at 0, with N the eigenvectors' rows (see kl_truncate)."""
+        total = float(self.eigenvectors.shape[0])  # trace of a unit-diagonal correlation matrix
+        return max(0.0, 1.0 - float(self.eigenvalues.sum()) / total)
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,7 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     index first. Each eigenvector's sign is fixed so its largest-
     magnitude entry is positive (earliest such entry wins on ties).
     """
-    m = np.asarray(R, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("eigendecompose expects a square matrix")
-    if not np.allclose(m, m.T, atol=1e-12):
-        raise DomainError("matrix is not symmetric")
+    m = symmetric(R, "eigendecompose R")
     n = m.shape[0]
     vals, vecs = np.linalg.eigh(m)
     roundoff = n * np.finfo(float).eps * float(np.abs(vals).max(initial=0.0))
@@ -150,9 +149,7 @@ def cholesky(R: np.ndarray) -> CholeskyFactor:
     shift from JITTER_LADDER. The applied shift is reported so callers
     can surface it in metadata.
     """
-    m = np.asarray(R, dtype=float)
-    if not np.isfinite(m).all():
-        raise DomainError("cholesky needs a matrix with finite entries")
+    m = symmetric(R, "cholesky R")
     n = m.shape[0]
     eye = np.eye(n)
     for jit in JITTER_LADDER:
@@ -166,21 +163,15 @@ def cholesky(R: np.ndarray) -> CholeskyFactor:
     )
 
 
-def kl_truncate(spec: EigenSpectrum, K: int) -> KlSpec:
-    """Keep the K dominant eigenmodes and report the energy left out.
+def kl_truncate(spec: EigenSpectrum, K: int) -> EigenSpectrum:
+    """Keep the K dominant eigenmodes; truncation_error reports the energy left out.
 
     truncation_error = 1 - sum(lambda_1..K)/N, using the trace identity
     sum(lambda) = N for unit-diagonal correlation matrices.
     """
-    n = spec.dim
-    K = whole(K, "truncation rank K", 1, n)
-    total = float(n)  # trace of a unit-diagonal correlation matrix
-    kept = float(spec.eigenvalues[:K].sum())
-    eps = max(0.0, 1.0 - kept / total)
-    return KlSpec(
-        rank=K,
+    K = whole(K, "truncation rank K", 1, spec.rank)
+    return EigenSpectrum(
         eigenvalues=spec.eigenvalues[:K].copy(),
         eigenvectors=spec.eigenvectors[:, :K].copy(),
-        truncation_error=eps,
     )
 

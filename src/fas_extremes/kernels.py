@@ -31,20 +31,19 @@ class SingularityError(ArithmeticError):
 
 
 class CorrelationModel(enum.Enum):
+    """A kernel by its CLI name; CorrelationModel(v) raises DomainError for any other v."""
+
     JAKES = "jakes"
     GAUSSIAN = "gauss"
 
     @classmethod
-    def parse(cls, name: str) -> "CorrelationModel":
-        key = name.strip().lower()
-        for m in cls:
-            if key == m.value or key == m.name.lower():
-                return m
-        raise DomainError(f"unknown correlation model {name!r}")
+    def _missing_(cls, value):
+        raise DomainError(f"unknown correlation model {value!r}, expected 'jakes' or 'gauss'")
 
 
-def correlation(model: CorrelationModel, delta: float) -> float:
+def correlation(model: CorrelationModel | str, delta: float) -> float:
     """Spatial correlation at separation delta (in wavelengths)."""
+    model = CorrelationModel(model)
     delta = real(delta, "delta")
     if model is CorrelationModel.JAKES:
         return bessel_j0(2.0 * math.pi * abs(delta))
@@ -67,7 +66,7 @@ def approx_error(delta: float) -> tuple[float, float]:
     return actual, bound
 
 
-def psd(model: CorrelationModel, f: float) -> float:
+def psd(model: CorrelationModel | str, f: float) -> float:
     """Power spectral density of the correlation kernel.
 
     Bessel kernel: 1/(pi sqrt(1-f^2)) on |f| < 1, zero outside, with an
@@ -75,6 +74,7 @@ def psd(model: CorrelationModel, f: float) -> float:
     Squared-exponential kernel: exp(-f^2)/sqrt(pi). The 1/sqrt(pi)
     normalization is forced by int S df = rho(0) = 1.
     """
+    model = CorrelationModel(model)
     f = real(f, "f")
     if model is CorrelationModel.JAKES:
         af = abs(f)

@@ -81,15 +81,12 @@ def outage_rank2(spec: EigenSpectrum, x: float) -> float:
     is rejected and the result is 0, below the true rank-2 outage.
     """
     x = positive(x, "normalized threshold x")
-    if spec.dim < 2:
-        raise DomainError("rank-2 outage needs at least two ports")
+    if spec.rank < 2:
+        raise DomainError("rank-2 outage needs at least two modes")
 
-    lam1 = float(spec.eigenvalues[0])
-    lam2 = max(0.0, float(spec.eigenvalues[1]))
+    s1, s2 = map(math.sqrt, spec.eigenvalues[:2])
     u1 = spec.eigenvectors[:, 0]
     u2 = spec.eigenvectors[:, 1]
-    s1 = math.sqrt(max(0.0, lam1))
-    s2 = math.sqrt(lam2)
     b = s2 * u2  # real coefficients of the second mode
     degenerate = np.abs(b) < 1e-12
     live = ~degenerate

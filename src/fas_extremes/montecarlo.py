@@ -48,7 +48,7 @@ import numpy as np
 from .fieldmodel import (
     ApertureConfig,
     CholeskyFactor,
-    KlSpec,
+    EigenSpectrum,
     cholesky,
     correlation_matrix,
 )
@@ -221,13 +221,13 @@ def simulate_outage(
     return _outage(factor.lower, x, cfg)
 
 
-def truncated_gain_matrix(kl: KlSpec) -> np.ndarray:
+def truncated_gain_matrix(kl: EigenSpectrum) -> np.ndarray:
     """Real N x K map U_K sqrt(L_K) from mode coordinates to port amplitudes."""
-    return kl.eigenvectors * np.sqrt(np.maximum(kl.eigenvalues, 0.0))
+    return kl.eigenvectors * np.sqrt(kl.eigenvalues)
 
 
 def simulate_outage_truncated(
-    kl: KlSpec, x: float | Sequence[float], cfg: McConfig
+    kl: EigenSpectrum, x: float | Sequence[float], cfg: McConfig
 ) -> OutageEstimate | tuple[OutageEstimate, ...]:
     """Outage of the rank-K truncated field, exact re-parameterization at K = N.
 

@@ -17,7 +17,8 @@ helpers here: real (a finite float in [lo, hi)), positive (a finite
 float > 0) and whole (an integer in [lo, hi], never truncated). Each
 returns the coerced value or raises DomainError naming the argument
 and its range, so NaN, infinite, fractional and out-of-range inputs
-fail the same way everywhere.
+fail the same way everywhere. A fourth, symmetric, is the one
+structural check on a correlation matrix.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ def whole(v, name: str, lo: int = 1, hi: float = math.inf) -> int:
     if n is None or n != v or not lo <= n <= hi:
         raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
     return n
+
+
+def symmetric(m, name: str) -> np.ndarray:
+    """m as a float array: a non-empty square matrix, finite, symmetric to 1e-12."""
+    a = np.asarray(m, dtype=float)
+    square = a.ndim == 2 and 0 < a.shape[0] == a.shape[1]
+    if not (square and np.isfinite(a).all() and np.allclose(a, a.T, atol=1e-12)):
+        raise DomainError(f"{name} must be a non-empty finite symmetric matrix (shape {a.shape})")
+    return a
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,10 @@ class TestRhoExtremes:
         with pytest.raises(DomainError):
             rho_extremes(np.eye(1))
 
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(DomainError):
+            rho_extremes(np.ones((2, 3)))
+
 
 class TestSlepianSandwich:
     def test_frozen_reference_pair(self, gauss_matrix_20_1):
@@ -206,6 +210,10 @@ class TestBlockRefinedBound:
         bound, _ = block_refined_bound(R, 1.0, 3)
         assert _partition_indices(3, 3) == [(0, 1), (1, 2), (2, 3)]
         assert bound == pytest.approx(binomial_iid_cdf(1.0, 3), abs=1e-10)
+
+    def test_rejects_asymmetric_matrix(self):
+        with pytest.raises(DomainError):
+            block_refined_bound(np.array([[1.0, 0.9], [0.0, 1.0]]), 1.0, 1)
 
     def test_block_count_validation(self, gauss_matrix_20_1):
         with pytest.raises(DomainError):

@@ -106,6 +106,14 @@ class TestExitCodes:
             assert not out.exists()
             assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("experiment", ["kl-convergence", "slepian-blocks"])
+    def test_bad_port_count_is_named(self, tmp_path, capsys, experiment):
+        # the port count, not the --K or --blocks range it would set
+        out = tmp_path / "bad.csv"
+        assert main([experiment, "--N", "0", "--trials", "100", "--out", str(out)]) == 1
+        assert "port count N" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_identical_modulo_timestamp(self, tmp_path):

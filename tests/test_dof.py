@@ -45,6 +45,10 @@ class TestParticipationRatio:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(DomainError):
             participation_ratio(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+        with pytest.raises(DomainError):
+            participation_ratio(np.ones((2, 3)))
+        with pytest.raises(DomainError):  # not 0 / 0
+            participation_ratio(np.zeros((0, 0)))
 
 
 class TestKeffAsymptotic:
@@ -54,6 +58,10 @@ class TestKeffAsymptotic:
         )
         assert keff_asymptotic(CorrelationModel.JAKES, 3.0) == 7.0
         assert keff_asymptotic(CorrelationModel.JAKES, 2.5) == 6.0
+
+    def test_model_name_selects_its_count(self):
+        for W in (1.0, 3.0):
+            assert keff_asymptotic("gauss", W) == keff_asymptotic(CorrelationModel.GAUSSIAN, W)
 
     def test_rejects_nonpositive_aperture(self):
         with pytest.raises(DomainError):

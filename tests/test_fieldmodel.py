@@ -15,6 +15,7 @@ import pytest
 from fas_extremes.fieldmodel import (
     JITTER_LADDER,
     ApertureConfig,
+    EigenSpectrum,
     FactorizationError,
     cholesky,
     correlation_matrix,
@@ -22,6 +23,7 @@ from fas_extremes.fieldmodel import (
     kl_truncate,
 )
 from fas_extremes.kernels import CorrelationModel, correlation
+from fas_extremes.montecarlo import McConfig, simulate_outage
 from fas_extremes.specialfn import DomainError
 
 GRID = [
@@ -51,6 +53,11 @@ class TestCorrelationMatrix:
             band = np.diag(R, k)
             assert np.all(band == band[0])
 
+    def test_model_name_selects_its_kernel(self):
+        by_name = correlation_matrix(ApertureConfig(W=1.0, N=3, model="jakes"))
+        by_member = correlation_matrix(ApertureConfig(W=1.0, N=3, model=CorrelationModel.JAKES))
+        assert np.array_equal(by_name, by_member)
+
     def test_single_port(self):
         cfg = ApertureConfig(W=1.0, N=1, model=CorrelationModel.GAUSSIAN)
         assert np.array_equal(correlation_matrix(cfg), np.eye(1))
@@ -63,6 +70,8 @@ class TestCorrelationMatrix:
         for N in (math.inf, math.nan):  # DomainError, not int()'s OverflowError or ValueError
             with pytest.raises(DomainError):
                 ApertureConfig(W=1.0, N=N, model=CorrelationModel.JAKES)
+        with pytest.raises(DomainError):
+            ApertureConfig(W=1.0, N=10, model="rician")
 
 
 class TestEigendecompose:
@@ -162,6 +171,12 @@ class TestEigendecompose:
         assert np.allclose(lam[big], oracle[big], rtol=1e-9, atol=0)
 
 
+def _nan_at(entry):
+    m = correlation_matrix(ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN))
+    m[entry] = m[entry[::-1]] = math.nan
+    return m
+
+
 class TestCholesky:
     def test_identity_needs_no_jitter(self):
         factor = cholesky(np.eye(4))
@@ -186,13 +201,25 @@ class TestCholesky:
         with pytest.raises(FactorizationError):
             cholesky(m)
 
-    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
-    def test_non_finite_matrix_rejected(self, entry):
-        # LAPACK returns a NaN factor here, which samples as zero outage
-        m = correlation_matrix(ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN))
-        m[entry] = m[entry[::-1]] = math.nan
+    @pytest.mark.parametrize(
+        "m",
+        [
+            _nan_at((0, 1)),
+            _nan_at((1, 1)),
+            np.ones(3),
+            np.ones((2, 3)),
+            [[1.0, 0.9], [0.0, 1.0]],
+            np.zeros((0, 0)),
+        ],
+        ids=["off-diagonal", "diagonal", "1-D", "non-square", "asymmetric", "empty"],
+    )
+    def test_non_finite_matrix_rejected(self, m):
+        # LAPACK returns a NaN factor here, which samples as zero outage;
+        # it broadcasts a 1-D input and reads only the lower triangle
         with pytest.raises(DomainError):
             cholesky(m)
+        with pytest.raises(DomainError):
+            simulate_outage(m, 1.0, McConfig(trials=100))
 
     def test_ladder_shape(self):
         assert JITTER_LADDER[0] == 0.0
@@ -215,6 +242,18 @@ class TestKlTruncate:
         errs = [kl_truncate(gauss_spectrum_20_2, K).truncation_error for K in range(1, 21)]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
         assert errs[-1] == 0.0
+
+    def test_truncated_spectrum_truncates_again(self, gauss_spectrum_20_2):
+        twice = kl_truncate(kl_truncate(gauss_spectrum_20_2, 3), 2)
+        once = kl_truncate(gauss_spectrum_20_2, 2)
+        assert twice.rank == 2
+        assert np.array_equal(twice.eigenvectors, once.eigenvectors)
+        assert twice.truncation_error == once.truncation_error
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_spectrum_rejects_bad_eigenvalue(self, bad):
+        with pytest.raises(DomainError):
+            EigenSpectrum(np.array([1.0, bad]), np.eye(2))
 
     def test_rank_validation(self, gauss_spectrum_20_2):
         with pytest.raises(DomainError):

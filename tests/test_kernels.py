@@ -43,12 +43,18 @@ class TestCorrelation:
             assert -1.0 <= j <= 1.0
             assert 0.0 < g <= 1.0
 
-    def test_parse_aliases(self):
-        assert CorrelationModel.parse("jakes") is CorrelationModel.JAKES
-        assert CorrelationModel.parse("gauss") is CorrelationModel.GAUSSIAN
-        assert CorrelationModel.parse("gaussian") is CorrelationModel.GAUSSIAN
-        with pytest.raises(DomainError):
-            CorrelationModel.parse("rician")
+    def test_model_from_value(self):
+        assert CorrelationModel("jakes") is CorrelationModel.JAKES
+        assert CorrelationModel("gauss") is CorrelationModel.GAUSSIAN
+        assert CorrelationModel(CorrelationModel.JAKES) is CorrelationModel.JAKES
+        for name in ("rician", "gaussian", " JAKES"):  # no aliases, no case folding
+            with pytest.raises(DomainError):
+                CorrelationModel(name)
+
+    def test_model_name_selects_its_kernel(self):
+        # a name is coerced, not compared by identity and read as the Gaussian
+        for d in (0.1, 0.3, 1.4):
+            assert correlation("jakes", d) == correlation(CorrelationModel.JAKES, d)
 
 
 class TestApproxError:
@@ -92,6 +98,10 @@ class TestPsd:
 
     def test_gaussian_center_uses_corrected_normalization(self):
         assert abs(psd(CorrelationModel.GAUSSIAN, 0.0) - 1 / math.sqrt(math.pi)) < 1e-15
+
+    def test_model_name_selects_its_kernel(self):
+        for f in (0.2, 0.5, 0.95):
+            assert psd("jakes", f) == psd(CorrelationModel.JAKES, f)
 
     def test_jakes_support(self):
         assert psd(CorrelationModel.JAKES, 1.5) == 0.0

@@ -622,6 +622,14 @@ class TestUpcrossings:
         assert mean == pytest.approx(cross.mean(), rel=1e-13)
         assert se == pytest.approx(cross.std() / math.sqrt(cross.size), rel=1e-12)
 
+    def test_model_name_selects_its_kernel(self):
+        cfg = McConfig(trials=2_000, seed=42)
+        by_name = count_upcrossings(ApertureConfig(W=1.0, N=20, model="jakes"), 1.0, cfg)
+        by_member = count_upcrossings(
+            ApertureConfig(W=1.0, N=20, model=CorrelationModel.JAKES), 1.0, cfg
+        )
+        assert by_name == by_member
+
     def test_domain(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew samples for an invalid level")
