@@ -100,7 +100,7 @@ def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
     if x == 0.0:
         return 0.0
     if rho < 1e-14:
-        return (1.0 - math.exp(-x)) ** N
+        return (-math.expm1(-x)) ** N
     rule = gauss_laguerre(_QUAD_POINTS)
     b = math.sqrt(2.0 * x / (1.0 - rho))
     scale = 2.0 * rho / (1.0 - rho)

@@ -8,7 +8,8 @@ workers produce byte-identical bodies; only the timestamp line moves.
 EXPERIMENTS. The threshold is 0 dB, so x = 10^(-snr_db/10).
 
 Exit codes: 0 success, 2 bad flags (argparse level, including any
-experiment flag that EXPERIMENTS does not list for the experiment), 1
+experiment flag that EXPERIMENTS does not list for the experiment, a
+seed outside [0, 2^64) and an --out with no existing directory), 1
 failure during computation (the partially written output is removed).
 Cross-field semantic problems (say --blocks exceeding --N, or
 slepian-blocks --model both) surface as computation failures, not flag
@@ -55,6 +56,9 @@ from .specialfn import DomainError
 DEFAULT_WORKERS = 8
 
 PORT_SWEEP = (3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
+
+# the kernels the two-model experiments compare, in column order
+MODELS = ("jakes", "gauss")
 
 
 def _fmt(v) -> str:
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     p.add_argument("experiment", choices=EXPERIMENTS)
-    p.add_argument("--model", choices=("jakes", "gauss", "both"))
+    p.add_argument("--model", choices=(*MODELS, "both"))
     p.add_argument("--W", type=float, help="aperture in wavelengths")
     p.add_argument("--N", type=int, help="port count")
     p.add_argument("--snr-db", type=_parse_snr_list, metavar="LIST",
@@ -123,9 +127,26 @@ def _matrix(model: str, N: int, W: float) -> np.ndarray:
     return correlation_matrix(ApertureConfig(W=W, N=N, model=model))
 
 
-def _mc(model: str, N: int, W: float, xs: list[float], cfg: McConfig):
-    """One Monte Carlo pass over the field, an estimate per threshold in xs."""
-    return simulate_outage(cholesky(_matrix(model, N, W)), xs, cfg)
+def _mc(R: np.ndarray, xs: list[float], cfg: McConfig):
+    """One Monte Carlo pass over the field R, an estimate per threshold in xs."""
+    return simulate_outage(cholesky(R), xs, cfg)
+
+
+def _mc_cells(row: dict, ests: dict, prefix: str = "mc", hits: bool = False) -> dict:
+    """row plus the {prefix}_KEY[, hits_KEY] and std_err_KEY cells of each KEY: estimate.
+
+    A None estimate (a model outage-snr did not sample) leaves them blank."""
+    for key, est in ests.items():
+        row[f"{prefix}_{key}"] = None if est is None else est.p
+        if hits:
+            row[f"hits_{key}"] = None if est is None else est.hits
+        row[f"std_err_{key}"] = None if est is None else est.std_err
+    return row
+
+
+def _mc_meta(est) -> str:
+    """An estimate as a header value: p to 17 digits and its std_err."""
+    return f"{est.p:.17g} (std_err {est.std_err:.3g})"
 
 
 # one function per experiment: (flags with EXPERIMENTS' defaults filled
@@ -167,43 +188,32 @@ def _run_psd(args):
 
 def _run_eigen(args):
     N = args.N
-    spec_j = eigendecompose(_matrix("jakes", N, args.W))
-    spec_g = eigendecompose(_matrix("gauss", N, args.W))
-    cum_j = np.cumsum(spec_j.eigenvalues) / N
-    cum_g = np.cumsum(spec_g.eigenvalues) / N
+    lams = {m: eigendecompose(_matrix(m, N, args.W)).eigenvalues for m in MODELS}
+    cums = {m: np.cumsum(lam) / N for m, lam in lams.items()}
     rows = []
     for k in range(N):
-        rows.append(
-            {
-                "k": k + 1,
-                "lam_jakes_over_N": float(spec_j.eigenvalues[k]) / N,
-                "lam_gauss_over_N": float(spec_g.eigenvalues[k]) / N,
-                "cum_energy_jakes": float(cum_j[k]),
-                "cum_energy_gauss": float(cum_g[k]),
-            }
-        )
+        row = {"k": k + 1}
+        for m in MODELS:
+            row[f"lam_{m}_over_N"] = float(lams[m][k]) / N
+        for m in MODELS:
+            row[f"cum_energy_{m}"] = float(cums[m][k])
+        rows.append(row)
     return rows, {}
 
 
 def _run_outage_snr(args):
     analytic_model = "jakes" if args.model == "jakes" else "gauss"
     # the analytic model is always one of the sampled ones
-    R = {m: _matrix(m, args.N, args.W) for m in ("jakes", "gauss")
-         if args.model in (m, "both")}
+    R = {m: _matrix(m, args.N, args.W) for m in MODELS if args.model in (m, "both")}
     spec = eigendecompose(R[analytic_model])
-    mc = {m: simulate_outage(cholesky(R_m), args.xs, args.cfg) for m, R_m in R.items()}
+    mc = {m: _mc(R_m, args.xs, args.cfg) for m, R_m in R.items()}
     rows = []
     for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
-        row = {"snr_db": snr, "x": x}
-        for m in ("jakes", "gauss"):
-            est = mc[m][i] if m in mc else None
-            row[f"mc_{m}"] = None if est is None else est.p
-            row[f"std_err_{m}"] = None if est is None else est.std_err
+        ests = {m: mc[m][i] if m in mc else None for m in MODELS}
+        row = _mc_cells({"snr_db": snr, "x": x}, ests)
         row["rank1"] = outage_rank1(spec, x)
         row["rank2"] = outage_rank2(spec, x)
-        lo, hi = slepian_sandwich(R[analytic_model], x)
-        row["slepian_lo"] = lo
-        row["slepian_hi"] = hi
+        row["slepian_lo"], row["slepian_hi"] = slepian_sandwich(R[analytic_model], x)
         cont = outage_continuous(x, args.W)
         row["continuum"] = cont.value
         row["continuum_clamped"] = cont.clamped
@@ -216,12 +226,9 @@ def _run_outage_aperture(args):
     rows = []
     for W in Ws:
         N = max(2, math.ceil(20 * W)) if args.N is None else args.N
-        mc = {m: _mc(m, N, W, args.xs, args.cfg) for m in ("jakes", "gauss")}
+        mc = {m: _mc(_matrix(m, N, W), args.xs, args.cfg) for m in MODELS}
         for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
-            row = {"W": W, "N": N, "snr_db": snr, "x": x}
-            for m in ("jakes", "gauss"):
-                row[f"mc_{m}"] = mc[m][i].p
-                row[f"std_err_{m}"] = mc[m][i].std_err
+            row = _mc_cells({"W": W, "N": N, "snr_db": snr, "x": x}, {m: mc[m][i] for m in MODELS})
             cont = outage_continuous(x, W)
             row["continuum"] = cont.value
             row["continuum_clamped"] = cont.clamped
@@ -233,7 +240,7 @@ def _run_dof(args):
     Ws = [0.5 + 0.25 * i for i in range(19)] if args.W is None else [args.W]
     rows = []
     for W in Ws:
-        pr = {m: participation_ratio(_matrix(m, args.N, W)) for m in ("jakes", "gauss")}
+        pr = {m: participation_ratio(_matrix(m, args.N, W)) for m in MODELS}
         rows.append(
             {
                 "W": W,
@@ -251,14 +258,12 @@ def _run_outage_ports(args):
     Ns = PORT_SWEEP if args.N is None else (args.N,)
     rows = []
     for W in Ws:
-        mc = {(N, m): _mc(m, N, W, args.xs, args.cfg) for N in Ns for m in ("jakes", "gauss")}
+        mc = {(N, m): _mc(_matrix(m, N, W), args.xs, args.cfg) for N in Ns for m in MODELS}
         for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
             cont = outage_continuous(x, W)
             for N in Ns:
-                row = {"N": N, "W": W, "snr_db": snr, "x": x}
-                for m in ("jakes", "gauss"):
-                    row[f"mc_{m}"] = mc[N, m][i].p
-                    row[f"std_err_{m}"] = mc[N, m][i].std_err
+                row = _mc_cells({"N": N, "W": W, "snr_db": snr, "x": x},
+                                {m: mc[N, m][i] for m in MODELS})
                 row["continuum"] = cont.value
                 rows.append(row)
     return rows, {}
@@ -266,25 +271,25 @@ def _run_outage_ports(args):
 
 def _run_kl_convergence(args):
     N = args.N
-    specs = {m: eigendecompose(_matrix(m, N, args.W)) for m in ("jakes", "gauss")}  # names a bad N
+    R = {m: _matrix(m, N, args.W) for m in MODELS}  # names a bad N
+    specs = {m: eigendecompose(R_m) for m, R_m in R.items()}
     k_max = N if args.K is None else args.K
     if not (1 <= k_max <= N):
         raise DomainError(f"K sweep limit must be in [1, {N}], got {k_max}")
     meta = {}
     tags = [("m" if s < 0 else "p") + f"{abs(s):g}".replace(".", "_") for s in args.snr_db]
-    for m in ("jakes", "gauss"):
-        for tag, est in zip(tags, _mc(m, N, args.W, args.xs, args.cfg)):
-            meta[f"mc_full_{m}_{tag}"] = f"{est.p:.17g} (std_err {est.std_err:.3g})"
+    for m in MODELS:
+        for tag, est in zip(tags, _mc(R[m], args.xs, args.cfg)):
+            meta[f"mc_full_{m}_{tag}"] = _mc_meta(est)
     rows = []
     for K in range(1, k_max + 1):
         row = {"K": K}
-        kls = {m: kl_truncate(specs[m], K) for m in ("jakes", "gauss")}
-        for m in ("jakes", "gauss"):
+        kls = {m: kl_truncate(specs[m], K) for m in MODELS}
+        for m in MODELS:
             row[f"eps_{m}"] = kls[m].truncation_error
-        for m in ("jakes", "gauss"):
-            for tag, est in zip(tags, simulate_outage_truncated(kls[m], args.xs, args.cfg)):
-                row[f"trunc_{m}_{tag}"] = est.p
-                row[f"std_err_{m}_{tag}"] = est.std_err
+        for m in MODELS:
+            ests = simulate_outage_truncated(kls[m], args.xs, args.cfg)
+            _mc_cells(row, {f"{m}_{tag}": est for tag, est in zip(tags, ests)}, "trunc")
         rows.append(row)
     return rows, meta
 
@@ -298,7 +303,7 @@ def _run_slepian_blocks(args):
     if not (1 <= args.blocks <= args.N):
         raise DomainError(f"--blocks must be in [1, {args.N}], got {args.blocks}")
     x = args.xs[0]
-    est = simulate_outage(cholesky(R), x, args.cfg)
+    (est,) = _mc(R, [x], args.cfg)
     lo, hi = slepian_sandwich(R, x)
     ext = rho_extremes(R)
     rows = []
@@ -319,7 +324,7 @@ def _run_slepian_blocks(args):
         "sandwich_hi": f"{hi:.17g}",
         "rho_min": f"{ext.rho_min:.17g}",
         "rho_max": f"{ext.rho_max:.17g}",
-        "mc": f"{est.p:.17g} (std_err {est.std_err:.3g})",
+        "mc": _mc_meta(est),
     }
     return rows, meta
 
@@ -328,24 +333,13 @@ def _run_gauss_error(args):
     Ws = [0.5 * i for i in range(1, 11)] if args.W is None else [args.W]
     rows = []
     for W in Ws:
-        mc = {m: _mc(m, args.N, W, args.xs, args.cfg) for m in ("jakes", "gauss")}
-        for snr, x, ej, eg in zip(args.snr_db, args.xs, mc["jakes"], mc["gauss"]):
-            pj, pg = ej.p, eg.p
-            rel = abs(pg - pj) / pj if pj > 0 else None
-            rows.append(
-                {
-                    "W": W,
-                    "snr_db": snr,
-                    "x": x,
-                    "mc_jakes": pj,
-                    "hits_jakes": ej.hits,
-                    "std_err_jakes": ej.std_err,
-                    "mc_gauss": pg,
-                    "hits_gauss": eg.hits,
-                    "std_err_gauss": eg.std_err,
-                    "rel_error": rel,
-                }
-            )
+        mc = {m: _mc(_matrix(m, args.N, W), args.xs, args.cfg) for m in MODELS}
+        for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
+            row = _mc_cells({"W": W, "snr_db": snr, "x": x}, {m: mc[m][i] for m in MODELS},
+                            hits=True)
+            pj, pg = row["mc_jakes"], row["mc_gauss"]
+            row["rel_error"] = abs(pg - pj) / pj if pj > 0 else None
+            rows.append(row)
     return rows, {}
 
 
@@ -418,7 +412,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trials must be positive")
     if args.workers < 1:
         parser.error("--workers must be positive")
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
     out_path = args.out or f"{args.experiment}.csv"
+    out_dir = os.path.dirname(out_path) or os.curdir
+    if os.path.isdir(out_path) or not os.path.isdir(out_dir):
+        parser.error(f"--out {out_path} must name a file in an existing directory")
 
     try:
         if "trials" in defaults:
@@ -429,19 +428,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fas-extremes: {args.experiment} failed: {exc}", file=sys.stderr)
         return 1
     fieldnames = list(rows[0])
+    header = {"experiment": args.experiment, "config": config, "seed": args.seed,
+              "workers": args.workers, **meta,
+              "timestamp": datetime.now(timezone.utc).isoformat()}
 
-    out_dir = os.path.dirname(os.path.abspath(out_path))
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
             fh.write(f"# fas-extremes {__version__}\n")
-            fh.write(f"# experiment: {args.experiment}\n")
-            fh.write(f"# config: {config}\n")
-            fh.write(f"# seed: {args.seed}\n")
-            fh.write(f"# workers: {args.workers}\n")
-            for key, val in meta.items():
+            for key, val in header.items():
                 fh.write(f"# {key}: {val}\n")
-            fh.write(f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n")
             fh.write(",".join(fieldnames) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(row.get(name)) for name in fieldnames) + "\n")

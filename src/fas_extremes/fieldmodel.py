@@ -57,13 +57,20 @@ class EigenSpectrum:
     """Descending eigenvalues with matched orthonormal eigenvector columns.
 
     All N modes, or the K leading ones from kl_truncate (N x K vectors).
-    Every eigenvalue must be finite and non-negative."""
+    The eigenvalues are 1-D, one per eigenvector column, each finite and
+    non-negative; a spectrum has at least one mode and one port."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        for lam in self.eigenvalues.tolist():
+        lams, vecs = self.eigenvalues, self.eigenvectors
+        if lams.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != lams.size or 0 in vecs.shape:
+            raise DomainError(
+                "an EigenSpectrum needs 1-D eigenvalues and one eigenvector column per"
+                f" eigenvalue, at least one of each, got shapes {lams.shape} and {vecs.shape}"
+            )
+        for lam in lams.tolist():
             real(lam, "eigenvalue", 0.0)
 
     @property

@@ -44,12 +44,13 @@ def outage_rank1(spec: EigenSpectrum, x: float) -> float:
     """Closed-form outage keeping only the dominant eigenmode.
 
     The best port sees gain lambda1 c1 |z|^2 with z standard complex
-    normal, so P_out = 1 - exp(-x / (lambda1 c1)).
+    normal, so P_out = 1 - exp(-x / (lambda1 c1)), computed with expm1
+    so that a tiny x keeps its relative accuracy.
     """
     x = positive(x, "normalized threshold x")
     lambda1 = float(spec.eigenvalues[0])
     c1 = float(np.max(spec.eigenvectors[:, 0] ** 2))  # max_n |u_{n,1}|^2
-    return 1.0 - math.exp(-x / (lambda1 * c1))
+    return -math.expm1(-x / (lambda1 * c1))
 
 
 def outage_rank2(spec: EigenSpectrum, x: float) -> float:

@@ -28,7 +28,7 @@ from fas_extremes.specialfn import DomainError
 
 
 def binomial_iid_cdf(x: float, N: int) -> float:
-    return (1.0 - math.exp(-x)) ** N
+    return (-math.expm1(-x)) ** N
 
 
 class TestSeries:
@@ -104,6 +104,10 @@ class TestExact:
             assert equicorr_cdf_exact(1.2, 0.0, N) == pytest.approx(
                 binomial_iid_cdf(1.2, N), abs=1e-12
             )
+        # a tiny x, where 1 - exp(-x) keeps only a few digits
+        assert equicorr_cdf_exact(1e-10, 0.0, 3) == pytest.approx(
+            binomial_iid_cdf(1e-10, 3), rel=1e-14, abs=0.0
+        )
 
     def test_matches_series_at_zero_correlation(self):
         for x in (0.5, 2.0):

@@ -277,6 +277,40 @@ class TestFlagContract:
             assert f"{name} does not read {option}" in capsys.readouterr().err
             assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["psd", "outage-snr"])
+    def test_seed_out_of_range_exits_two(self, tmp_path, monkeypatch, capsys, name):
+        # checked in main for every experiment, and for FAS_SEED too
+        extra = ["--N", "5", "--snr-db", "0", "--trials", "10"] if name == "outage-snr" else []
+        for seed in (-1, 2**64):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, name, *extra, "--seed", str(seed))
+            assert exc.value.code == 2
+            assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+        monkeypatch.setenv("FAS_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, name, *extra)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+        # the largest seed runs
+        assert run(tmp_path, name, *extra, "--seed", str(2**64 - 1))[0] == 0
+
+    def test_out_without_directory_exits_two_before_running(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # a permission-denied directory is not tested: the suite may run as root
+        def fail_runner(args):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setitem(EXPERIMENTS, "outage-snr", (fail_runner, EXPERIMENTS["outage-snr"][1]))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path, f"{tmp_path / 'missing'}{os.sep}"):
+            with pytest.raises(SystemExit) as exc:
+                main(["outage-snr", "--N", "5", "--snr-db", "0", "--trials", "10",
+                      "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "must name a file in an existing directory" in err
+            assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option", ["--th-db", "--quad-order"])
     def test_removed_flag_exits_two(self, tmp_path, option):
         # the threshold is 0 dB and the rank-2 rule 16 points, not flags

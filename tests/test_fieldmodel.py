@@ -255,6 +255,25 @@ class TestKlTruncate:
         with pytest.raises(DomainError):
             EigenSpectrum(np.array([1.0, bad]), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "lams,vecs",
+        [
+            (np.ones(3), np.eye(2)),  # more eigenvalues than columns
+            (np.ones(2), np.ones((3, 1))),  # fewer
+            (np.ones((2, 1)), np.eye(2)),  # 2-D eigenvalues
+            (np.ones(2), np.ones(2)),  # 1-D eigenvectors
+            (np.ones(0), np.ones((3, 0))),  # no mode
+            (np.ones(1), np.ones((0, 1))),  # no port
+        ],
+        ids=["3-values-2-columns", "2-values-1-column", "2d-values", "1d-vectors", "no-mode",
+             "no-port"],
+    )
+    def test_spectrum_rejects_mismatched_eigenvectors(self, lams, vecs):
+        # unchecked, these gave rank-1/rank-2 outages of 0.632 and 0.437, or
+        # a bare IndexError, ValueError or ZeroDivisionError further on
+        with pytest.raises(DomainError):
+            EigenSpectrum(lams, vecs)
+
     def test_rank_validation(self, gauss_spectrum_20_2):
         with pytest.raises(DomainError):
             kl_truncate(gauss_spectrum_20_2, 0)

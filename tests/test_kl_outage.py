@@ -123,8 +123,12 @@ class TestRank1:
         lambda1 = float(gauss_spectrum_20_2.eigenvalues[0])
         c1 = float(np.max(gauss_spectrum_20_2.eigenvectors[:, 0] ** 2))
         x = 1.0
-        expect = 1.0 - math.exp(-x / (lambda1 * c1))
+        expect = -math.expm1(-x / (lambda1 * c1))
         assert outage_rank1(gauss_spectrum_20_2, x) == expect
+        # deep in the fade 1 - exp(-y) would cancel to 0; the outage is y - y^2/2
+        y = 1e-30 / (lambda1 * c1)
+        p = outage_rank1(gauss_spectrum_20_2, 1e-30)
+        assert p == pytest.approx(y - y * y / 2, rel=1e-14, abs=0.0)
 
     def test_against_truncated_simulation(self, gauss_spectrum_20_2):
         x = 10**0.5

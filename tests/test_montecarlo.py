@@ -146,7 +146,8 @@ class TestThresholdSweep:
 
 
 class TestCliSamplesOncePerField:
-    """Each (model, W, N[, K]) is sampled once over all its SNR points."""
+    """Each (model, W, N[, K]) is sampled once over all its SNR points,
+    from a matrix built and factored once."""
 
     @pytest.mark.parametrize(
         "argv,full,truncated",
@@ -156,11 +157,20 @@ class TestCliSamplesOncePerField:
             (["outage-ports", "--W", "1", "--N", "5", "--snr-db", "-5,0"], 2, 0),
             (["gauss-error", "--W", "1", "--N", "6"], 2, 0),
             (["kl-convergence", "--N", "8", "--K", "3"], 2, 6),
+            (["slepian-blocks", "--N", "8", "--blocks", "2"], 1, 0),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else str(v),
     )
     def test_call_counts(self, tmp_path, monkeypatch, argv, full, truncated):
         calls = {"full": 0, "truncated": 0}
+        fields = {"built": 0, "factored": 0}
+
+        def tally(kind, fn):
+            def wrapper(*args):
+                fields[kind] += 1
+                return fn(*args)
+
+            return wrapper
 
         def counting(kind, fn):
             def wrapper(*args, **kwargs):
@@ -176,10 +186,14 @@ class TestCliSamplesOncePerField:
         monkeypatch.setattr(
             cli, "simulate_outage_truncated", counting("truncated", simulate_outage_truncated)
         )
+        monkeypatch.setattr(cli, "correlation_matrix", tally("built", correlation_matrix))
+        monkeypatch.setattr(cli, "cholesky", tally("factored", cholesky))
         rc = cli.main(argv + ["--trials", "500", "--workers", "1",
                               "--out", str(tmp_path / "out.csv")])
         assert rc == 0
         assert calls == {"full": full, "truncated": truncated}
+        # each field is built once and factored once, whatever else reads it
+        assert fields == {"built": full, "factored": full}
 
 
 class TestDeterminism:
