@@ -34,10 +34,11 @@ from .continuum import outage_continuous
 from .dof import keff_asymptotic, participation_ratio
 from .fieldmodel import (
     ApertureConfig,
-    cholesky,
+    cholesky,  # not called here, but perfbench's spans wrap cli.cholesky
     correlation_matrix,
     eigendecompose,
     kl_truncate,
+    pivoted_cholesky,
 )
 from .kernels import (
     CorrelationModel,
@@ -128,8 +129,11 @@ def _matrix(model: str, N: int, W: float) -> np.ndarray:
 
 
 def _mc(R: np.ndarray, xs: list[float], cfg: McConfig):
-    """One Monte Carlo pass over the field R, an estimate per threshold in xs."""
-    return simulate_outage(cholesky(R), xs, cfg)
+    """One Monte Carlo pass over the field R, an estimate per threshold in xs.
+
+    The field is drawn through R's pivoted-Cholesky factor, so a trial
+    takes as many latent normals per part as R's numerical rank."""
+    return simulate_outage(pivoted_cholesky(R), xs, cfg)
 
 
 def _mc_cells(row: dict, ests: dict, prefix: str = "mc", hits: bool = False) -> dict:

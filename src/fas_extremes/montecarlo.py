@@ -1,9 +1,14 @@
 """Seeded Monte Carlo oracle for the correlated-aperture outage model.
 
-Port gains are drawn as g = L z with L the (jittered) Cholesky factor of
-the correlation matrix and z a standard complex normal vector; real and
-imaginary parts are N(0, 1/2) each so every |g_n|^2 is exactly unit-mean
-exponential. Streams are keyed by (seed, worker) through the Philox
+Port gains are drawn as g = L z, with L an N x r factor of the
+correlation matrix (L L^T = R, up to a shift of at most 1e-8) and z a
+standard complex normal vector of r entries; real and imaginary parts
+are N(0, 1/2) each so every |g_n|^2 is exactly unit-mean exponential.
+simulate_outage factors a bare matrix with the full, jittered Cholesky
+factor (r = N), which the oracle fixture pins; a caller may pass any
+CholeskyFactor instead, such as fieldmodel.pivoted_cholesky's low-rank
+one, whose r is the matrix's numerical rank and which the CLI samples
+through. Streams are keyed by (seed, worker) through the Philox
 counter-based generator: worker w owns a fixed divmod slice of the
 trial budget and draws from Philox(seed).jumped(w), so any (seed,
 workers, trials) triple reproduces bit-for-bit. The knob partitions the
@@ -108,7 +113,8 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
     """Yield every chunk of squared port gains, rows are trials.
 
     mat maps the latent standard-normal coordinates to port amplitudes
-    (Cholesky factor for the full model, U_K sqrt(L_K) for truncated).
+    (a Cholesky factor, full or pivoted, for the full model, U_K sqrt(L_K)
+    for truncated).
     Two real matmuls beat one complex one and keep the arithmetic
     bit-stable for one BLAS build and thread count. When a block's
     product has at least _OVERLAP_MIN multiply-adds, a one-thread
@@ -146,9 +152,14 @@ def _gain_chunks(mat: np.ndarray, cfg: McConfig):
     # real- and imaginary-part gains; block k uses zs[k % len(zs)], gs[k % 2]
     nz, ng = step * ncols, step * nports
     nlatent = 2 * nz if overlap else nz
-    slab = borrow(nlatent + 2 * ng)
+    # the latent side is sized as if it were full rank (ncols = nports), so
+    # passes of different rank over one port count reuse one slab; the
+    # latent rows a low-rank pass leaves alone cost no resident memory
+    # unless an earlier pass touched them
+    top = max(nlatent, ng)
+    slab = borrow(top + 2 * ng)
     zs = [slab[i : i + nz].reshape(step, ncols) for i in range(0, nlatent, nz)]
-    gs = [slab[i : i + ng].reshape(step, nports) for i in (nlatent, nlatent + ng)]
+    gs = [slab[i : i + ng].reshape(step, nports) for i in (top, top + ng)]
     if overlap:  # imported here: concurrent.futures loads logging, ~10 ms of start-up
         from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(max_workers=1) if overlap else None
@@ -216,6 +227,8 @@ def simulate_outage(
 
     A number x gives one OutageEstimate; a sequence gives a tuple of
     estimates in the same order, all counted from one set of draws.
+    A bare matrix R is sampled through its full cholesky factor; a
+    CholeskyFactor, full or pivoted, is sampled as given.
     """
     factor = R if isinstance(R, CholeskyFactor) else cholesky(R)
     return _outage(factor.lower, x, cfg)

@@ -4,8 +4,9 @@ lists start with a negative number.
 
 All invocations go through main(argv) in-process, so the tests see the
 same byte stream a terminal run would produce without paying process
-startup per case. The one subprocess imports the CLI in a fresh
-interpreter to check which modules that loads.
+startup per case. Subprocesses check what needs a fresh interpreter:
+which modules importing the CLI loads, and that the CSV does not depend
+on the BLAS thread count, which BLAS reads at load.
 """
 
 import csv
@@ -359,3 +360,32 @@ def test_cli_import_loads_numpy_only():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--W", "1", "--N", "200", "--trials", "200000", "--workers", "2"],
+        ["--W", "5", "--N", "400", "--trials", "100000", "--workers", "3"],
+    ],
+    ids=["N200-W1", "N400-W5"],
+)
+def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
+    # one command, one CSV: the CLI's factor and draws must not follow the
+    # BLAS thread count (LAPACK's Cholesky gave both argvs different mc_*
+    # cells at OPENBLAS_NUM_THREADS=1 and =2)
+    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
+    bodies = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / f"threads{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "fas_extremes.cli", "outage-aperture", *argv,
+             "--snr-db", "-5,0,5", "--seed", "42", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        bodies.append(body_lines(out))
+    assert bodies[0] == bodies[1]

@@ -1,4 +1,5 @@
-"""Aperture config, correlation matrices, eigensolver, Cholesky, KL truncation.
+"""Aperture config, correlation matrices, eigensolver, the full and the
+pivoted Cholesky factors, KL truncation.
 
 The eigensolver is checked against raw numpy.linalg.eigh across the
 configuration grid the experiments use, and against a 50-digit mpmath
@@ -21,6 +22,7 @@ from fas_extremes.fieldmodel import (
     correlation_matrix,
     eigendecompose,
     kl_truncate,
+    pivoted_cholesky,
 )
 from fas_extremes.kernels import CorrelationModel, correlation
 from fas_extremes.montecarlo import McConfig, simulate_outage
@@ -224,6 +226,98 @@ class TestCholesky:
     def test_ladder_shape(self):
         assert JITTER_LADDER[0] == 0.0
         assert list(JITTER_LADDER) == sorted(JITTER_LADDER)
+
+    @pytest.mark.parametrize(
+        "N,W,model", GRID + [(200, W, m) for W in (1.0, 5.0) for m in CorrelationModel]
+    )
+    def test_product_within_n_eps(self, N, W, model):
+        # the backward error of a Cholesky factor of a unit-diagonal matrix
+        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
+        f = cholesky(R)
+        assert np.allclose(np.triu(f.lower, 1), 0.0, rtol=0.0, atol=0.0)
+        err = np.max(np.abs(f.lower @ f.lower.T - (R + f.jitter * np.eye(N))))
+        assert err <= N * np.finfo(float).eps
+
+
+def _rank_and_residual(R):
+    F = pivoted_cholesky(R).lower
+    return F.shape[1], np.max(np.abs(F @ F.T - R))
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("W", [1.0, 5.0])
+    @pytest.mark.parametrize("N", [1, 20, 64, 200, 400])
+    def test_reconstructs_input(self, N, W, model):
+        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
+        f = pivoted_cholesky(R)
+        assert f.jitter == 0.0
+        assert f.lower.shape[0] == N and 1 <= f.lower.shape[1] <= N
+        assert _rank_and_residual(R)[1] <= 1.5e-12
+
+    @pytest.mark.parametrize(
+        "model,N,W,rank",
+        [
+            (CorrelationModel.GAUSSIAN, 200, 1.0, 17),
+            (CorrelationModel.JAKES, 200, 1.0, 10),
+            (CorrelationModel.JAKES, 400, 5.0, 22),
+            (CorrelationModel.GAUSSIAN, 400, 5.0, 63),
+        ],
+    )
+    def test_numerical_rank(self, model, N, W, rank):
+        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
+        assert _rank_and_residual(R)[0] == rank
+
+    def test_lower_trapezoidal_in_pivot_order(self):
+        R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=CorrelationModel.GAUSSIAN))
+        F = pivoted_cholesky(R).lower
+        r = F.shape[1]
+        last = np.array([np.flatnonzero(row).max() for row in F])
+        # one pivot row ends at each column but the last, and has a
+        # positive diagonal there; every other row runs to the last column
+        ends = np.bincount(last, minlength=r)
+        assert list(ends[:-1]) == [1] * (r - 1)
+        assert ends[-1] == 200 - (r - 1)
+        pivots = [int(np.flatnonzero(last == k)[0]) for k in range(r - 1)]
+        assert all(F[p, k] > 0.0 for k, p in enumerate(pivots))
+
+    def test_exact_on_identity_and_all_ones(self):
+        for n in (1, 7):
+            f = pivoted_cholesky(np.eye(n))
+            assert f.lower.shape == (n, n)
+            assert np.array_equal(f.lower @ f.lower.T, np.eye(n))
+            f = pivoted_cholesky(np.ones((n, n)))
+            assert f.lower.shape == (n, 1)
+            assert np.array_equal(f.lower @ f.lower.T, np.ones((n, n)))
+
+    def test_indefinite_matrix_rejected(self):
+        # the largest residual diagonal of [[1, 2], [2, 1]] after one step
+        # is -3: stopping there would return a rank-1 factor of nothing
+        with pytest.raises(DomainError, match="not positive semi-definite"):
+            pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_roundoff_indefinite_matrix_factors(self):
+        # the float Jakes matrix is indefinite at -1.0e-13, kernel roundoff
+        R = correlation_matrix(ApertureConfig(W=3.0, N=20, model=CorrelationModel.JAKES))
+        assert -JITTER_LADDER[-1] < np.linalg.eigvalsh(R)[0] < 0.0
+        rank, residual = _rank_and_residual(R)
+        assert rank < 20 and residual <= 1.5e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            _nan_at((0, 1)),
+            np.ones(3),
+            np.ones((2, 3)),
+            [[1.0, 0.9], [0.0, 1.0]],
+            np.zeros((0, 0)),
+            np.zeros((3, 3)),
+        ],
+        ids=["nan", "1-D", "non-square", "asymmetric", "empty", "zero"],
+    )
+    def test_bad_matrix_rejected(self, m):
+        with pytest.raises(DomainError):
+            pivoted_cholesky(m)
 
 
 class TestKlTruncate:

@@ -27,6 +27,7 @@ from fas_extremes.fieldmodel import (
     correlation_matrix,
     eigendecompose,
     kl_truncate,
+    pivoted_cholesky,
 )
 from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
@@ -187,7 +188,7 @@ class TestCliSamplesOncePerField:
             cli, "simulate_outage_truncated", counting("truncated", simulate_outage_truncated)
         )
         monkeypatch.setattr(cli, "correlation_matrix", tally("built", correlation_matrix))
-        monkeypatch.setattr(cli, "cholesky", tally("factored", cholesky))
+        monkeypatch.setattr(cli, "pivoted_cholesky", tally("factored", pivoted_cholesky))
         rc = cli.main(argv + ["--trials", "500", "--workers", "1",
                               "--out", str(tmp_path / "out.csv")])
         assert rc == 0
@@ -480,6 +481,18 @@ class TestScratchSlab:
         assert steps == 6
         assert len(scratch) == 1
 
+    def test_passes_of_different_rank_share_one_slab(self, scratch):
+        # dense-aperture's two fields: rank 10, then rank 17, over 200 ports.
+        # A slab sized by the rank would be dropped and mapped anew here.
+        Rs = [correlation_matrix(ApertureConfig(W=1.0, N=200, model=m))
+              for m in (CorrelationModel.JAKES, CorrelationModel.GAUSSIAN)]
+        assert [pivoted_cholesky(R).lower.shape[1] for R in Rs] == [10, 17]
+        cfg = McConfig(trials=2_000, seed=5, workers=2)
+        cli._mc(Rs[0], [1.0], cfg)
+        (slab,) = scratch
+        cli._mc(Rs[1], [1.0], cfg)
+        assert len(scratch) == 1 and scratch[0] is slab
+
 
 _FAULT_PROBE = """
 import resource, sys
@@ -522,13 +535,11 @@ print(digest.hexdigest())
 """
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason="OpenBLAS 0.3.31's Cholesky (dpotrf) gives different, equally valid N = 200 "
-    "factors at 1 and 2 threads, so the draws differ; another BLAS may agree",
-)
 def test_draws_do_not_depend_on_blas_threads():
-    # dense-aperture's sampler config; BLAS reads its thread count at load
+    # dense-aperture's sampler config at full rank; BLAS reads its thread
+    # count at load. LAPACK's Cholesky (OpenBLAS 0.3.31 dpotrf) gives
+    # factors up to 1.2e-4 apart at 1 and 2 threads, so the factor must
+    # not call it.
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -585,6 +596,20 @@ class TestMultiWorkerPins:
         cfg = McConfig(trials=trials, seed=11, workers=workers)
         assert simulate_outage(R, 1e6, cfg).hits == trials
         assert simulate_outage_truncated(kl, 1e6, cfg).hits == trials
+
+
+class TestPivotedFactor:
+    @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+    def test_matches_full_factor(self, model):
+        # dense-aperture's fields: the low-rank draws estimate the same outage
+        R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
+        cfg = McConfig(trials=200_000, seed=42, workers=2)
+        xs = [0.316, 1.0, 3.16]
+        full = simulate_outage(R, xs, cfg)
+        low = simulate_outage(pivoted_cholesky(R), xs, cfg)
+        for a, b in zip(full, low, strict=True):
+            assert 0 < a.hits < a.trials
+            assert abs(a.p - b.p) <= 3.0 * math.hypot(a.std_err, b.std_err)
 
 
 class TestTruncated:
