@@ -56,6 +56,13 @@ def outage_continuous(x: float, W: float) -> ContinuumResult:
     identical for both kernels (they share lambda2 = 2 pi^2). Valid for
     moderate-to-large x; small x drives the exceedance past 1, and the
     outage clamps to 0. W = 0 is the single-port limit 1 - e^{-x}.
+
+    For x >= 1/pi the result is a valid but weaker lower bound on the
+    outage at any port count. Its crossing term is sqrt(pi x) times the
+    Rice count W sqrt(2 pi x) e^{-x} of mean upcrossings, and
+    sup |h|^2 >= x needs |h(0)|^2 >= x or an upcrossing of x, so the
+    outage is at least 1 - e^{-x}(1 + W sqrt(2 pi x)), which lies at
+    or above the printed form exactly when x >= 1/pi.
     """
     x, W = positive(x, "x"), real(W, "W", 0.0)
     exceedance = math.exp(-x) * (1.0 + W * math.sqrt(LAMBDA2) * x)

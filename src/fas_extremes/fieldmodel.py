@@ -94,10 +94,24 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
+    """An N x r map L with L L^T = R + jitter I, up to roundoff.
+
+    jitter is the diagonal shift that made the factorization succeed;
+    zero for cleanly positive-definite input. lower is a finite 2-D
+    array with at least one row and one column, and jitter a finite
+    number >= 0."""
+
     lower: np.ndarray
     jitter: float = 0.0
-    # jitter is the diagonal shift that made the factorization succeed;
-    # zero for cleanly positive-definite input
+
+    def __post_init__(self):
+        lower = self.lower
+        if np.ndim(lower) != 2 or 0 in np.shape(lower) or not np.isfinite(lower).all():
+            raise DomainError(
+                "a CholeskyFactor's lower must be a finite 2-D array with at least one row"
+                f" and one column, got shape {np.shape(lower)}"
+            )
+        real(self.jitter, "jitter", 0.0)
 
 
 def correlation_matrix(config: ApertureConfig) -> np.ndarray:

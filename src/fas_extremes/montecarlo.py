@@ -14,28 +14,24 @@ trial budget and draws from Philox(seed).jumped(w), so any (seed,
 workers, trials) triple reproduces bit-for-bit. The knob partitions the
 stream; it does not set a thread count.
 
-One private generator (_gain_chunks) yields every chunk of squared port
-gains, rows are trials, in worker order. Each chunk is a real-part
-latent block, then an imaginary-part block, each drawn from its worker's
-stream and mapped to the ports by one matmul. While the calling thread
-maps block k, a one-thread concurrent.futures pool draws block k + 1
-into the other of two latent buffers, when a block's product is large
-enough to be worth the handoff (_OVERLAP_MIN); smaller ones are drawn on
-the calling thread. The pool's draw is awaited, and a failed draw
-re-raised, before every yield, so the pool is idle while the caller
-holds a chunk. Each block is drawn from the same stream position, into
-the same shape, and mapped by the same matmul call as in a serial loop,
-so the results cannot depend on the overlap, and every reduction runs in
-worker order on the calling thread. The latent buffers and both gain
-blocks are views of one scratch slab (specialfn.borrow), reused from
-call to call, so no chunk costs a fresh array; a yielded chunk is valid
-only until the next one is requested. Each public estimator is a plain
-loop over those chunks: hit counts for outage, and exact integer sums of
-the per-trial count and its square for the upcrossings.
+One private loop (_sample) serves every estimator. Each worker draws
+its slice in latent blocks, a real-part block and then an imaginary-part
+one, and maps each block to the ports in row tiles of a few hundred
+trials that stay in cache; a tile's matmul is a row slice of the whole
+block's product, so the draws and gains are those the oracle fixture
+pins. The estimator reduces each tile to integers (hits per threshold,
+or the upcrossing count's sum and sum of squares), and the caller adds
+every worker's integers, so no result depends on which thread ran a
+worker. When one block's product reaches _THREAD_MIN multiply-adds the
+workers run on min(workers, cpu count) threads; otherwise, as with one
+worker or one CPU, they run in order on the calling thread and no
+thread starts. Blocks and tiles are views of one scratch slab
+(specialfn.borrow), sized from the thread count, block and port count,
+and reused from call to call.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
-hits at every one of them from the same chunks, so the estimate at
+hits at every one of them from the same tiles, so the estimate at
 thresholds[i] is the very integer count, p and std_err that a scalar
 call at thresholds[i] with the same McConfig returns; a sweep costs one
 pass over the field instead of one per point.
@@ -43,8 +39,9 @@ pass over the field instead of one per point.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,17 +65,19 @@ __all__ = [
     "truncated_gain_matrix",
 ]
 
-# Floats per chunk row-block (past about 3900 ports the 1024-row floor
-# exceeds it), which keeps peak memory modest. It also bounds the scratch
-# slab the process keeps after a call: four such blocks at most (two
-# latent, two gain), so 128 MB; 32 MB for N = 200 with 5000-trial slices.
+# Floats per latent block. A block's rows (step) are the most it holds,
+# within [1024, 262144] and no more than a worker's slice; they fix which
+# normals become real and which imaginary parts, so changing this changes
+# every draw. A thread's part of the scratch slab is two blocks and two tiles.
 _CHUNK_BUDGET = 4_000_000
-# Multiply-adds in one block's product (rows x latent x ports) below which
-# the draws stay on the calling thread: the overlap can save at most the
-# product's time (about 2 ms on a 2-vCPU Xeon at one BLAS thread), while
-# each handoff wakes the pool's thread, which on a loaded shared host can
-# take about as long and varies from run to run.
-_OVERLAP_MIN = 2 ** 25
+# Floats per tile: a tile is the most multiples of 256 rows it holds, so at
+# N = 200 a tile's products and row max stay in a 2 MB L2 cache, while a
+# field of few ports is not cut into tiles whose numpy-call overhead shows.
+_TILE_FLOATS = 65_536
+# Multiply-adds in one block's product (rows x latent x ports) from which
+# the workers run on threads. Below it a thread's start-up and the BLAS
+# contention cost about what a second core saves.
+_THREAD_MIN = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -109,86 +108,86 @@ def _fill(rng: np.random.Generator, z: np.ndarray) -> None:
     z *= math.sqrt(0.5)
 
 
-def _gain_chunks(mat: np.ndarray, cfg: McConfig):
-    """Yield every chunk of squared port gains, rows are trials.
+def _sample(mat: np.ndarray, cfg: McConfig, reduce, nout: int) -> list[int]:
+    """Sums over all trials of reduce(gains), nout Python ints.
 
     mat maps the latent standard-normal coordinates to port amplitudes
     (a Cholesky factor, full or pivoted, for the full model, U_K sqrt(L_K)
-    for truncated).
-    Two real matmuls beat one complex one and keep the arithmetic
-    bit-stable for one BLAS build and thread count. When a block's
-    product has at least _OVERLAP_MIN multiply-adds, a one-thread
-    ThreadPoolExecutor draws the next latent block into the second of
-    two buffers while this thread maps the current one; otherwise there
-    is one latent buffer, and this thread draws the next block into it
-    once the current one is mapped. Each draw's future is read before
-    the next yield, which re-raises a failed draw here and leaves the
-    pool idle while the caller holds a chunk; the pool is shut down,
-    its thread joined, when the generator finishes or is closed.
+    for truncated). reduce takes a tile of squared port gains, rows are
+    trials, and returns nout integers; the tile is valid only during the
+    call. Two real matmuls beat one complex one and keep the arithmetic
+    bit-stable for one BLAS build. Tiles are cut at multiples of 256
+    rows, a block's last tile taking the short remainder: a small BLAS
+    call could round its rows differently from the whole block's product.
 
-    The buffers and both gain blocks are carved from one scratch slab,
-    borrowed on the first request and given back when the generator
-    finishes or is closed, after the pool is shut down. Each yielded
-    chunk is a view of it: the caller may read it until it requests
-    the next chunk, and must copy what it keeps longer.
+    At or above _THREAD_MIN the workers run on threads, each claiming
+    the next worker index; a failure, in a thread or while the caller
+    waits, stops every thread at its next claim, and is re-raised here
+    once all are joined.
     """
     nports, ncols = mat.shape
     base, extra = divmod(cfg.trials, cfg.workers)
     rows = max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols, nports)))
     step = min(rows, base + (extra > 0))  # no more than the largest slice
+    cut = 256 * max(1, _TILE_FLOATS // (256 * nports))
+    tall = min(step, 2 * cut - 1)  # the tallest tile: a cut and a remainder
+    streams = min(cfg.workers, cfg.trials)
+    threads = min(streams, os.cpu_count() or 1) if step * ncols * nports >= _THREAD_MIN else 1
+    # per thread, two latent blocks sized as if the factor had full rank, so
+    # passes of any rank over one port count share one slab (latent rows a
+    # low-rank pass leaves alone cost no resident memory), then two tiles
+    nz, ng = step * max(ncols, nports), tall * nports
+    slab = borrow(threads * 2 * (nz + ng))
+    order, lock, failed = iter(range(streams)), threading.Lock(), threading.Event()
 
-    def latent_blocks():
-        # (stream, rows) per latent block in draw order, keyed lazily
-        for w in range(min(cfg.workers, cfg.trials)):
-            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
-            n_w = base + (w < extra)
-            for done in range(0, n_w, step):
-                m = min(step, n_w - done)
-                yield rng, m  # real part
-                yield rng, m  # imaginary part
+    def claim() -> int | None:
+        with lock:
+            return None if failed.is_set() else next(order, None)
 
-    overlap = step * ncols * nports >= _OVERLAP_MIN
-    # latent buffers (a second one for the pool's draw ahead), then the
-    # real- and imaginary-part gains; block k uses zs[k % len(zs)], gs[k % 2]
-    nz, ng = step * ncols, step * nports
-    nlatent = 2 * nz if overlap else nz
-    # the latent side is sized as if it were full rank (ncols = nports), so
-    # passes of different rank over one port count reuse one slab; the
-    # latent rows a low-rank pass leaves alone cost no resident memory
-    # unless an earlier pass touched them
-    top = max(nlatent, ng)
-    slab = borrow(top + 2 * ng)
-    zs = [slab[i : i + nz].reshape(step, ncols) for i in range(0, nlatent, nz)]
-    gs = [slab[i : i + ng].reshape(step, nports) for i in (top, top + ng)]
-    if overlap:  # imported here: concurrent.futures loads logging, ~10 ms of start-up
-        from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(max_workers=1) if overlap else None
-    blocks = latent_blocks()
+    def drain(k: int) -> np.ndarray:
+        """Totals of the workers thread k claims, drawn and mapped in its part of the slab."""
+        at = k * 2 * (nz + ng)
+        zr, zi = (slab[i : i + step * ncols].reshape(step, ncols) for i in (at, at + nz))
+        gr, gi = (slab[i : i + ng].reshape(tall, nports) for i in (at + 2 * nz, at + 2 * nz + ng))
+        total = np.zeros(nout, dtype=np.int64)
+        try:
+            while (w := claim()) is not None:
+                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
+                n_w = base + (w < extra)
+                for done in range(0, n_w, step):
+                    m = min(step, n_w - done)
+                    _fill(rng, zr[:m])
+                    _fill(rng, zi[:m])
+                    starts = range(0, max(cut, m - m % cut), cut)
+                    for t0, t1 in zip(starts, [*starts[1:], m]):
+                        r, i = gr[: t1 - t0], gi[: t1 - t0]
+                        np.matmul(zr[t0:t1], mat.T, out=r)
+                        np.square(r, out=r)
+                        np.matmul(zi[t0:t1], mat.T, out=i)
+                        np.square(i, out=i)
+                        i += r  # addition commutes, so the order of the parts is moot
+                        total += reduce(i)
+        except BaseException:
+            failed.set()
+            raise
+        return total
+
     try:
-        rng, m = next(blocks)
-        _fill(rng, zs[0][:m])
-        for k in itertools.count():
-            z, g = zs[k % len(zs)], gs[k % 2][:m]
-            ahead = next(blocks, None)
-            if ahead is not None and pool is not None:
-                drawn = pool.submit(_fill, ahead[0], zs[(k + 1) % 2][: ahead[1]])
-            np.matmul(z[:m], mat.T, out=g)
-            np.square(g, out=g)
-            if ahead is not None:
-                if pool is None:
-                    _fill(ahead[0], z[: ahead[1]])  # z is free once mapped
-                else:
-                    drawn.result()  # re-raises a failed draw here
-            if k % 2:
-                g += gs[0][:m]  # addition commutes, so the order of the parts is moot
-                yield g
-            if ahead is None:
-                return
-            _, m = ahead
+        if threads == 1:
+            parts = [drain(0)]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging: ~10 ms
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:  # joins every thread
+                futures = [pool.submit(drain, k) for k in range(threads)]
+                try:
+                    parts = [f.result() for f in futures]  # re-raises a thread's failure
+                except BaseException:  # or an interrupt while waiting
+                    failed.set()
+                    raise
     finally:
-        if pool is not None:
-            pool.shutdown()  # waits for a draw still in flight
-        give_back(slab)  # after the shutdown: the pool may still be drawing into it
+        give_back(slab)
+    return sum(parts).tolist()  # integers, so the order of the additions is moot
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:
@@ -204,17 +203,14 @@ def _outage(
     mat: np.ndarray, x: float | Sequence[float], cfg: McConfig
 ) -> OutageEstimate | tuple[OutageEstimate, ...]:
     xs = _thresholds(x)
-    hits = np.zeros(xs.size, dtype=np.int64)
-    for gains in _gain_chunks(mat, cfg):
-        hits += np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)
-    estimates = []
-    for h in map(int, hits):
-        p = h / cfg.trials
-        estimates.append(
-            OutageEstimate(
-                p=p, trials=cfg.trials, hits=h, std_err=math.sqrt(p * (1.0 - p) / cfg.trials)
-            )
-        )
+
+    def hits(gains):  # trials whose best port stays below each threshold
+        return np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)
+
+    n, estimates = cfg.trials, []
+    for h in _sample(mat, cfg, hits, xs.size):
+        p = h / n
+        estimates.append(OutageEstimate(p=p, trials=n, hits=h, std_err=math.sqrt(p * (1.0 - p) / n)))
     return estimates[0] if np.ndim(x) == 0 else tuple(estimates)
 
 
@@ -261,10 +257,11 @@ def count_upcrossings(
     u = positive(u, "level u")
     if config.N < 2:
         raise DomainError("upcrossing counting needs at least two ports")
-    s1 = s2 = 0  # sum(c) and sum(c*c) over trials, as Python ints
-    for gains in _gain_chunks(cholesky(correlation_matrix(config)).lower, cfg):
+
+    def sums(gains):  # sum(c) and sum(c*c) over the tile's trials
         cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
-        s1 += int(cross.sum())
-        s2 += int((cross * cross).sum())
+        return cross.sum(), (cross * cross).sum()
+
+    s1, s2 = _sample(cholesky(correlation_matrix(config)).lower, cfg, sums, 2)
     n = cfg.trials
     return s1 / n, math.sqrt((n * s2 - s1 * s1) / n**2 / n)

@@ -74,6 +74,22 @@ class TestOutageContinuous:
         vals = [outage_continuous(x, 1.0).value for x in (2.0, 3.0, 5.0, 8.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("W", [0.0, 0.25, 1.0, 2.0, 3.0, 5.0, 10.0])
+    def test_below_rice_bound_from_one_over_pi(self, W):
+        # 1 - e^-x (1 + W sqrt(2 pi x)) lower-bounds the outage at every N;
+        # the printed crossing term is sqrt(pi x) times the Rice count, so
+        # the printed outage lies under that bound exactly when x >= 1/pi
+        def rice(x):
+            return 1.0 - math.exp(-x) * (1.0 + W * math.sqrt(2.0 * math.pi * x))
+
+        for x in [1.0 / math.pi * (1.0 + 2.0**-20), 0.5, 1.0, 10**0.5, 5.0, 10.0, 30.0]:
+            r = outage_continuous(x, W)
+            assert r.raw <= rice(x)
+            assert r.value <= max(0.0, rice(x))
+        if W > 0:
+            for x in (0.05, 0.2, 1.0 / math.pi * (1.0 - 2.0**-20)):
+                assert outage_continuous(x, W).raw > rice(x)
+
 
 class TestRiceRate:
     def test_formula(self):

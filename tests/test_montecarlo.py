@@ -9,7 +9,6 @@ in the suite, so these comparisons are exact rather than statistical.
 """
 
 import csv
-import gc
 import hashlib
 import math
 import os
@@ -23,6 +22,7 @@ import pytest
 from fas_extremes import cli, montecarlo
 from fas_extremes.fieldmodel import (
     ApertureConfig,
+    CholeskyFactor,
     cholesky,
     correlation_matrix,
     eigendecompose,
@@ -33,7 +33,6 @@ from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
     McConfig,
     OutageEstimate,
-    _gain_chunks,
     count_upcrossings,
     simulate_outage,
     simulate_outage_truncated,
@@ -86,6 +85,31 @@ class TestIdentityChecks:
             simulate_outage(np.eye(2), 0.0, McConfig(trials=10))
         with pytest.raises(DomainError):
             simulate_outage(np.eye(2), -1.0, McConfig(trials=10))
+
+
+class TestFactorCheck:
+    """A CholeskyFactor is checked when it is made, before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "lower", [np.full((3, 3), np.nan), np.zeros((3, 0)), np.zeros((0, 3)), np.ones(3),
+                  np.array([[1.0, 0.0], [0.5, math.inf]])],
+        ids=["nan", "no-column", "no-row", "1-D", "infinite"],
+    )
+    def test_bad_lower_raises(self, lower):
+        with pytest.raises(DomainError, match="lower"):
+            simulate_outage(CholeskyFactor(lower=lower), 1.0, McConfig(trials=100))
+
+    @pytest.mark.parametrize("jitter", [-1e-12, math.nan, math.inf])
+    def test_bad_jitter_raises(self, jitter):
+        with pytest.raises(DomainError, match="jitter"):
+            simulate_outage(CholeskyFactor(lower=np.eye(3), jitter=jitter), 1.0,
+                            McConfig(trials=100))
+
+    def test_factor_is_sampled_as_given(self):
+        cfg = McConfig(trials=5_000, seed=3)
+        assert simulate_outage(CholeskyFactor(lower=np.eye(3), jitter=1e-10), 1.0, cfg) == (
+            simulate_outage(np.eye(3), 1.0, cfg)
+        )
 
 
 def _gauss_n8():
@@ -141,7 +165,7 @@ class TestThresholdSweep:
         def no_draws(*args):
             raise AssertionError("drew samples for an invalid threshold")
 
-        monkeypatch.setattr(montecarlo, "_gain_chunks", no_draws)
+        monkeypatch.setattr(montecarlo, "_sample", no_draws)
         with pytest.raises(DomainError):
             SAMPLERS[sampler](x, McConfig(trials=10))
 
@@ -242,33 +266,63 @@ class TestMarginals:
                 assert abs(p - truth) <= 3.0 * se
 
 
+def _tiles(mat, cfg):
+    """Copies of every tile of squared gains the sampler reduces, in the order reduced."""
+    got = []
+
+    def keep(gains):
+        got.append(gains.copy())
+        return (len(gains),)
+
+    assert montecarlo._sample(mat, cfg, keep, 1) == [cfg.trials]
+    return got
+
+
+def _rows(blocks):
+    """The rows of a list of gain blocks as a sorted list of bytes: their multiset."""
+    return sorted(row.tobytes() for block in blocks for row in block)
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Workers run on threads at every block size, on a host of four CPUs."""
+    monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+
+
 class TestGainChunks:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rank", [6, 2])
     def test_reused_buffers_match_fresh_products(self, monkeypatch, rank, workers):
-        # one buffer set is refilled in place across chunks and workers;
-        # every yielded block must still equal the fresh-array products of
-        # its worker's Philox(9).jumped(w) draws
-        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row chunks
+        # one slab is refilled in place across blocks, tiles and workers;
+        # the tiles, in the order the calling thread reduces them, must
+        # still equal the fresh-array products of each worker's
+        # Philox(9).jumped(w) draws
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row blocks
+        monkeypatch.setattr(montecarlo, "_TILE_FLOATS", 1)  # 256-row tiles
         config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)
         mat = montecarlo.truncated_gain_matrix(
             kl_truncate(eigendecompose(correlation_matrix(config)), rank)
         )
         cfg = McConfig(trials=2500, seed=9, workers=workers)
-        chunks = [c.copy() for c in _gain_chunks(mat, cfg)]
+        tiles = _tiles(mat, cfg)
+        # a block's last tile takes its short remainder: 1024 = 3 x 256 + 256,
+        # 452 = 256 + 196 and 226 < 256
         sizes = {1: [[1024, 1024, 452]], 2: [[1024, 226], [1024, 226]]}[workers]
-        assert [c.shape for c in chunks] == [(m, 6) for slice_ in sizes for m in slice_]
-        blocks = iter(chunks)
+        cuts = {1024: [256] * 4, 452: [452], 226: [226]}
+        assert [len(t) for t in tiles] == [n for slice_ in sizes for m in slice_ for n in cuts[m]]
+        fresh = []
         for w, slice_ in enumerate(sizes):
             rng = np.random.Generator(np.random.Philox(key=9).jumped(w))
             for m in slice_:
                 zr = rng.standard_normal((m, rank)) * math.sqrt(0.5)
                 zi = rng.standard_normal((m, rank)) * math.sqrt(0.5)
-                assert np.array_equal(next(blocks), (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+                fresh.append((zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
+        assert np.array_equal(np.concatenate(tiles), np.concatenate(fresh))
 
 
 def _serial_gain_chunks(mat, cfg):
-    """The sampler's chunks drawn and mapped one after another: the reference."""
+    """The sampler's blocks drawn and mapped whole, one after another: the reference."""
     nports, ncols = mat.shape
     base, extra = divmod(cfg.trials, cfg.workers)
     rows = max(1024, min(262_144, montecarlo._CHUNK_BUDGET // max(1, ncols, nports)))
@@ -291,23 +345,20 @@ def _serial_gain_chunks(mat, cfg):
 
 
 class TestDrawAhead:
-    """The helper thread draws one block ahead without changing a bit."""
+    """Worker streams drawn ahead on pool threads, and blocks mapped in
+    tiles, change no bit of the serial loop's gains."""
 
     XS = [0.3, 1.0, 2.5, 4.0]
-
-    @pytest.fixture
-    def always_overlap(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", 0)
 
     @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
     @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N", [7, 64, 200])
-    def test_matches_serial_loop(self, monkeypatch, N, workers, budget, overlap):
-        if budget is not None:  # 1024-row chunks, several per worker
+    def test_matches_serial_loop(self, request, monkeypatch, N, workers, budget, overlap):
+        if budget is not None:  # 1024-row blocks, several per worker
             monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
         if overlap is not None:
-            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+            request.getfixturevalue("threaded")
         R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
         factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
         for trials in (1, 5, 1_025, 5_003):
@@ -317,60 +368,30 @@ class TestDrawAhead:
                 (montecarlo.truncated_gain_matrix(kl), simulate_outage_truncated(kl, self.XS, cfg)),
             ):
                 ref = list(_serial_gain_chunks(mat, cfg))
-                got = [c.copy() for c in _gain_chunks(mat, cfg)]
-                assert len(got) == len(ref)
-                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+                # threads reduce their tiles in any order, so the rows are compared as a multiset
+                assert _rows(_tiles(mat, cfg)) == _rows(ref)
                 best = np.concatenate([c.max(axis=1) for c in ref])
                 assert [e.hits for e in estimates] == [
                     int(np.count_nonzero(best < x)) for x in self.XS
                 ]
 
-    @pytest.mark.usefixtures("always_overlap")
-    @pytest.mark.parametrize("stop", ["exhausted", "break", "consumer-raises", "dropped"])
-    def test_no_thread_outlives_the_generator(self, monkeypatch, stop):
-        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        mat = cholesky(_gauss_n8()).lower
-        before = threading.active_count()
-        if stop == "exhausted":
-            cfg = McConfig(trials=5_003, seed=3, workers=2)
-            chunks = [c.copy() for c in _gain_chunks(mat, cfg)]
-            assert sum(len(c) for c in chunks) == 5_003
-        elif stop == "break":
-            # 10^9 workers of 1000 trials each: only the first is ever keyed
-            for chunk in _gain_chunks(mat, McConfig(trials=10**12, seed=3, workers=10**9)):
-                assert chunk.shape == (1000, 8)
-                break
-        elif stop == "consumer-raises":
-            with pytest.raises(ZeroDivisionError):
-                for n, _ in enumerate(_gain_chunks(mat, McConfig(trials=5_003, seed=3))):
-                    1 / (2 - n)
-        else:
-            chunks = _gain_chunks(mat, McConfig(trials=5_003, seed=3))
-            assert next(chunks).shape == (1024, 8)
-            del chunks
-            gc.collect()
-        assert threading.active_count() == before
-
-    @pytest.mark.usefixtures("always_overlap")
+    @pytest.mark.usefixtures("threaded")
     def test_helper_failure_raised_by_caller(self, monkeypatch):
         fill, threads = montecarlo._fill, []
 
         def failing(rng, z):
             threads.append(threading.current_thread())
-            if len(threads) == 4:  # the first chunk's two blocks and one ahead are drawn
+            if len(threads) == 4:  # two blocks of 1024 rows have been drawn
                 raise RuntimeError("draw failed")
             fill(rng, z)
 
         monkeypatch.setattr(montecarlo, "_fill", failing)
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
         before = threading.active_count()
-        chunks = _gain_chunks(cholesky(_gauss_n8()).lower, McConfig(trials=5_003, seed=3))
-        assert next(chunks).shape == (1024, 8)
         with pytest.raises(RuntimeError, match="draw failed"):
-            next(chunks)
-        # the first block is drawn here, every later one on the helper
-        assert threads[0] is threading.current_thread()
-        assert threads[1] is threads[2] is threads[3] is not threads[0]
+            simulate_outage(cholesky(_gauss_n8()), 1.0, McConfig(trials=5_003, seed=3, workers=3))
+        # every draw ran on a pool thread, and every pool thread has been joined
+        assert threading.current_thread() not in threads
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
@@ -378,7 +399,9 @@ class TestDrawAhead:
         [(8, 5_003, False), (20, 20_000, False), (64, 6_000, False), (200, 10_000, True)],
     )
     def test_helper_only_for_large_products(self, monkeypatch, N, trials, helper):
-        # after the first block, N = 200 draws run on the helper; smaller products stay here
+        # N = 200 at full rank (5000 x 200 x 200 per block) runs its two
+        # workers on threads; smaller products stay on the calling thread
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         fill, threads = montecarlo._fill, []
 
         def recording(rng, z):
@@ -389,50 +412,121 @@ class TestDrawAhead:
         R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
         cfg = McConfig(trials=trials, seed=3, workers=2)
         mat = cholesky(R).lower
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(_gain_chunks(mat, cfg), _serial_gain_chunks(mat, cfg), strict=True))
-        assert threads[0] is threading.current_thread()
-        assert {t is threads[0] for t in threads[1:]} == {not helper}
+        assert _rows(_tiles(mat, cfg)) == _rows(_serial_gain_chunks(mat, cfg))
+        assert {t is threading.current_thread() for t in threads} == {not helper}
 
 
-_EXIT_PROBE = """
-import threading
-from fas_extremes import montecarlo
-from fas_extremes.fieldmodel import ApertureConfig, cholesky, correlation_matrix
-from fas_extremes.kernels import CorrelationModel
-montecarlo._OVERLAP_MIN = 0  # every draw after the first goes to the pool
-montecarlo._CHUNK_BUDGET = 1  # 1024-row chunks, so the generator outlives one
-R = correlation_matrix(ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN))
-chunks = montecarlo._gain_chunks(cholesky(R).lower, montecarlo.McConfig(trials=5_003, seed=3))
-next(chunks)
-print("threads", threading.active_count())  # the pool's thread is live until chunks is closed
-"""
+class TestWorkerThreads:
+    """The gate, the pool's lifetime and its lazy hand-out of workers."""
 
+    XS = [0.3, 1.0, 2.5, 4.0]
 
-def test_interpreter_exits_with_a_live_generator():
-    # the pool's thread is not a daemon: interpreter exit must still
-    # stop it while a module-level generator holds the pool open
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["threads", "2"]
-    assert "Traceback" not in done.stderr, done.stderr
+    @staticmethod
+    def _calls(cfg):
+        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
+        R = correlation_matrix(config)
+        kl = kl_truncate(eigendecompose(R), 3)
+        return {
+            "outage": lambda: simulate_outage(R, TestWorkerThreads.XS, cfg),
+            "truncated": lambda: simulate_outage_truncated(kl, TestWorkerThreads.XS, cfg),
+            "upcrossings": lambda: count_upcrossings(config, 1.0, cfg),
+        }
+
+    @pytest.mark.parametrize("sampler", ["outage", "truncated", "upcrossings"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_threads_and_calling_thread_agree(self, monkeypatch, sampler, workers):
+        # 1024-row blocks and 256-row tiles; eight workers on four threads,
+        # switching as often as the interpreter allows
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        monkeypatch.setattr(montecarlo, "_TILE_FLOATS", 1)
+        call = self._calls(McConfig(trials=20_011, seed=17, workers=workers))[sampler]
+        serial = call()
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert call() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers, cpus", [(1, 4), (3, 1), (3, None)],
+                             ids=["one-worker", "one-cpu", "cpu-count-unknown"])
+    def test_starts_no_thread(self, monkeypatch, workers, cpus):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        for call in self._calls(McConfig(trials=3_001, seed=2, workers=workers)).values():
+            call()
+
+    @pytest.mark.usefixtures("threaded")
+    def test_pool_takes_worker_slices_lazily(self, monkeypatch):
+        # 10^9 workers: the pool never holds more worker indices than threads
+        R = _gauss_n8()
+        assert simulate_outage(R, self.XS, McConfig(trials=5, seed=3, workers=10**9)) == (
+            simulate_outage(R, self.XS, McConfig(trials=5, seed=3, workers=5))
+        )
+        fill, drawn = montecarlo._fill, []
+
+        def failing(rng, z):
+            drawn.append(len(z))
+            if len(drawn) == 8:
+                raise RuntimeError("draw failed")
+            if len(drawn) > 100:  # the others ran on: end them, and fail below
+                raise RuntimeError("runaway")
+            fill(rng, z)
+
+        monkeypatch.setattr(montecarlo, "_fill", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate_outage(R, 1.0, McConfig(trials=10**12, seed=3, workers=10**9))
+        # a worker draws one 1000-row block per part; after the failure
+        # each of the other three threads finishes at most the worker it holds
+        assert set(drawn) == {1000} and len(drawn) <= 8 + 3 * 2
+        assert threading.active_count() == before
+
+    @pytest.mark.usefixtures("threaded")
+    def test_interrupt_while_waiting_stops_the_threads(self, monkeypatch):
+        # an exception in the waiting caller (here from Future.result)
+        # stops every thread at its next worker, and all are joined
+        import concurrent.futures
+
+        fill, drawn = montecarlo._fill, []
+
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        def counting(rng, z):
+            drawn.append(len(z))
+            if len(drawn) > 100:  # the threads ran on: end them, and fail below
+                raise RuntimeError("runaway")
+            fill(rng, z)
+
+        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+        monkeypatch.setattr(montecarlo, "_fill", counting)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            simulate_outage(_gauss_n8(), 1.0, McConfig(trials=10**12, seed=3, workers=10**9))
+        assert len(drawn) <= 100  # a few workers of 10^9
+        assert threading.active_count() == before
 
 
 class TestScratchSlab:
-    """Every chunk is carved from a reused slab, which must change no result."""
+    """Every block and tile is carved from a reused slab, which must change no result."""
 
     @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers, overlap):
-        # 1024-row chunks: 5003 trials end every worker's slice on a
-        # short chunk, which leaves stale rows past it in the slab
+    def test_warm_slab_cannot_leak(self, request, monkeypatch, scratch, workers, overlap):
+        # 1024-row blocks: 5003 trials end every worker's slice on a
+        # short block, which leaves stale rows past it in the slab
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
         if overlap is not None:
-            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+            request.getfixturevalue("threaded")
         config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
         R = correlation_matrix(config)
         factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
@@ -453,32 +547,35 @@ class TestScratchSlab:
             assert scratch == [poisoned]  # the NaN slab was the one used
 
     @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
-    def test_live_generators_own_their_slabs(self, monkeypatch, scratch, overlap):
-        # two generators interleaved, and at every step a third one that
-        # is closed by break and leaves its slab idle for the next
+    def test_live_generators_own_their_slabs(self, request, monkeypatch, scratch, overlap):
+        # a reduce that samples: while each tile of an outer pass is live,
+        # an inner pass runs on the thread that holds it. Every live pass
+        # must own its slab, and together they leave one idle slab.
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
         if overlap is not None:
-            monkeypatch.setattr(montecarlo, "_OVERLAP_MIN", overlap)
+            request.getfixturevalue("threaded")
         full = cholesky(_gauss_n8()).lower
-        truncated = montecarlo.truncated_gain_matrix(kl_truncate(eigendecompose(_gauss_n8()), 3))
         cfg_a = McConfig(trials=5_003, seed=3, workers=2)
-        cfg_b = McConfig(trials=5_003, seed=4, workers=2)
-        cfg_c = McConfig(trials=500, seed=5)  # needs less slab than a or b
+        cfg_c = McConfig(trials=500, seed=5)  # needs less slab than a
         first_c = next(_serial_gain_chunks(full, cfg_c))
-        steps = 0
-        for a, b, ref_a, ref_b in zip(
-            _gain_chunks(full, cfg_a), _gain_chunks(truncated, cfg_b),
-            _serial_gain_chunks(full, cfg_a), _serial_gain_chunks(truncated, cfg_b),
-            strict=True,
-        ):
-            for c in _gain_chunks(full, cfg_c):
-                assert not np.shares_memory(c, a) and not np.shares_memory(c, b)
-                assert np.array_equal(c, first_c)
-                break
-            assert not np.shares_memory(a, b)
-            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
-            steps += 1
-        assert steps == 6
+        outer = []
+
+        def outer_reduce(g):
+            inner = []
+
+            def inner_reduce(c):
+                assert not np.shares_memory(c, g)
+                inner.append(c.copy())
+                return (len(c),)
+
+            assert montecarlo._sample(full, cfg_c, inner_reduce, 1) == [500]
+            assert len(inner) == 1 and np.array_equal(inner[0], first_c)
+            outer.append(g.copy())  # the inner pass left the outer tile alone
+            return (len(g),)
+
+        assert montecarlo._sample(full, cfg_a, outer_reduce, 1) == [5_003]
+        assert len(outer) == 6
+        assert _rows(outer) == _rows(_serial_gain_chunks(full, cfg_a))
         assert len(scratch) == 1
 
     def test_passes_of_different_rank_share_one_slab(self, scratch):
@@ -522,26 +619,38 @@ def test_repeated_cli_call_takes_few_page_faults(tmp_path):
 
 
 _BLAS_PROBE = """
-import hashlib
-from fas_extremes.fieldmodel import ApertureConfig, cholesky, correlation_matrix
+import hashlib, os, threading
+from fas_extremes import montecarlo
+from fas_extremes.fieldmodel import (ApertureConfig, cholesky, correlation_matrix,
+                                     pivoted_cholesky)
 from fas_extremes.kernels import CorrelationModel
-from fas_extremes.montecarlo import McConfig, _gain_chunks
-digest = hashlib.sha256()
+os.cpu_count = lambda: 2  # the threaded path runs on any host
 for model in CorrelationModel:
     R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
-    for chunk in _gain_chunks(cholesky(R).lower, McConfig(trials=10_000, seed=42, workers=2)):
-        digest.update(chunk.tobytes())
-print(digest.hexdigest())
+    for factor, workers in ((pivoted_cholesky(R), 2), (cholesky(R), 2), (cholesky(R), 8)):
+        digests, threads = [], set()
+
+        def keep(gains):
+            digests.append(hashlib.sha256(gains.tobytes()).hexdigest())
+            threads.add(threading.current_thread() is threading.main_thread())
+            return (len(gains),)
+
+        cfg = montecarlo.McConfig(trials=10_000 * workers // 2, seed=42, workers=workers)
+        montecarlo._sample(factor.lower, cfg, keep, 1)
+        # tiles reach keep in any order when threads run
+        print(hashlib.sha256("".join(sorted(digests)).encode()).hexdigest(), sorted(threads))
 """
 
 
 def test_draws_do_not_depend_on_blas_threads():
-    # dense-aperture's sampler config at full rank; BLAS reads its thread
-    # count at load. LAPACK's Cholesky (OpenBLAS 0.3.31 dpotrf) gives
-    # factors up to 1.2e-4 apart at 1 and 2 threads, so the factor must
-    # not call it.
+    # dense-aperture's sampler config through the pivoted factor (ranks 10
+    # and 17, on the calling thread), and at full rank with 2 and 8
+    # workers (5000-row blocks, above the gate, so on two threads). BLAS
+    # reads its thread count at load. LAPACK's Cholesky (OpenBLAS 0.3.31
+    # dpotrf) gives factors up to 1.2e-4 apart at 1 and 2 threads, so the
+    # factor must not call it.
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    digests = []
+    outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
@@ -549,8 +658,10 @@ def test_draws_do_not_depend_on_blas_threads():
         done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
-    assert digests[0] == digests[1]
+        outputs.append(done.stdout.splitlines())
+    assert outputs[0] == outputs[1]
+    # on the calling thread through the pivoted factor, on pool threads at full rank
+    assert [line.split(" ", 1)[1] for line in outputs[0]] == ["[True]", "[False]", "[False]"] * 2
 
 
 class TestMultiWorkerPins:
@@ -654,7 +765,7 @@ class TestUpcrossings:
         cfg = McConfig(trials=5_003, seed=5, workers=3)
         mean, se = count_upcrossings(config, 1.0, cfg)
         gains = np.concatenate(
-            [c.copy() for c in _gain_chunks(cholesky(correlation_matrix(config)).lower, cfg)]
+            list(_serial_gain_chunks(cholesky(correlation_matrix(config)).lower, cfg))
         )
         cross = ((gains[:, :-1] < 1.0) & (gains[:, 1:] >= 1.0)).sum(axis=1)
         assert cross.std() > 0
@@ -673,7 +784,7 @@ class TestUpcrossings:
         def no_draws(*args):
             raise AssertionError("drew samples for an invalid level")
 
-        monkeypatch.setattr(montecarlo, "_gain_chunks", no_draws)
+        monkeypatch.setattr(montecarlo, "_sample", no_draws)
         config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
         for u in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
