@@ -49,7 +49,12 @@ from .kernels import (
     spectral_leakage,
 )
 from .kl_outage import ThresholdSpec, outage_rank1, outage_rank2
-from .montecarlo import McConfig, simulate_outage, simulate_outage_truncated
+from .montecarlo import (
+    McConfig,
+    simulate_outage,
+    simulate_outage_ladder,
+    simulate_outage_truncated,  # not called here, but perfbench's spans wrap it
+)
 from .specialfn import DomainError
 
 # Philox streams the trial budget is split into unless --workers says
@@ -285,15 +290,17 @@ def _run_kl_convergence(args):
     for m in MODELS:
         for tag, est in zip(tags, _mc(R[m], args.xs, args.cfg)):
             meta[f"mc_full_{m}_{tag}"] = _mc_meta(est)
+    # every rank K <= k_max of a model from one draw of k_max mode coordinates per trial
+    ladders = {m: simulate_outage_ladder(kl_truncate(specs[m], k_max), args.xs, args.cfg)
+               for m in MODELS}
     rows = []
     for K in range(1, k_max + 1):
         row = {"K": K}
-        kls = {m: kl_truncate(specs[m], K) for m in MODELS}
         for m in MODELS:
-            row[f"eps_{m}"] = kls[m].truncation_error
+            row[f"eps_{m}"] = kl_truncate(specs[m], K).truncation_error
         for m in MODELS:
-            ests = simulate_outage_truncated(kls[m], args.xs, args.cfg)
-            _mc_cells(row, {f"{m}_{tag}": est for tag, est in zip(tags, ests)}, "trunc")
+            _mc_cells(row, {f"{m}_{tag}": est for tag, est in zip(tags, ladders[m][K - 1])},
+                      "trunc")
         rows.append(row)
     return rows, meta
 

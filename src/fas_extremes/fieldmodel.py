@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+# eigendecompose makes each eigenvector's first entry of at least this
+# fraction of its largest magnitude positive: far above roundoff, so no
+# near-zero entry's sign decides, and far below any entry that matters
+_SIGN_FLOOR = 1e-3
 
 
 class FactorizationError(ArithmeticError):
@@ -148,8 +152,12 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     eigenvalue at 7.1e-24, where eigh returns -6.3e-16.
 
     Eigenvalues are sorted descending; ties keep the smaller pre-sort
-    index first. Each eigenvector's sign is fixed so its largest-
-    magnitude entry is positive (earliest such entry wins on ties).
+    index first. Each eigenvector's sign is fixed so that its first
+    entry of magnitude at least _SIGN_FLOOR times its largest is
+    positive. A symmetric Toeplitz matrix is centrosymmetric, so each
+    eigenvector is symmetric or antisymmetric and its largest entry ties
+    with its mirror image; a rule keyed on the largest entry lets
+    roundoff, which follows the BLAS thread count, pick the sign.
     """
     m = symmetric(R, "eigendecompose R")
     n = m.shape[0]
@@ -165,8 +173,9 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     order = np.lexsort((np.arange(n), -vals))  # descending, stable in index
     vals = vals[order]
     vecs = vecs[:, order]
-    peak = np.argmax(np.abs(vecs), axis=0)
-    vecs *= np.where(vecs[peak, np.arange(n)] < 0, -1.0, 1.0)
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= _SIGN_FLOOR * mags.max(axis=0), axis=0)
+    vecs *= np.where(vecs[lead, np.arange(n)] < 0, -1.0, 1.0)
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -34,7 +34,10 @@ simulate_outage_truncated accept a sequence of thresholds and count
 hits at every one of them from the same tiles, so the estimate at
 thresholds[i] is the very integer count, p and std_err that a scalar
 call at thresholds[i] with the same McConfig returns; a sweep costs one
-pass over the field instead of one per point.
+pass over the field instead of one per point. A truncation ladder
+reuses them too: simulate_outage_ladder draws each trial's leading k
+mode coordinates once and maps them through every rank K = 1..k in
+turn, in place of k passes that draw 1 + 2 + ... + k coordinates.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "OutageEstimate",
     "simulate_outage",
     "simulate_outage_truncated",
+    "simulate_outage_ladder",
     "count_upcrossings",
     "truncated_gain_matrix",
 ]
@@ -74,9 +78,10 @@ _CHUNK_BUDGET = 4_000_000
 # N = 200 a tile's products and row max stay in a 2 MB L2 cache, while a
 # field of few ports is not cut into tiles whose numpy-call overhead shows.
 _TILE_FLOATS = 65_536
-# Multiply-adds in one block's product (rows x latent x ports) from which
-# the workers run on threads. Below it a thread's start-up and the BLAS
-# contention cost about what a second core saves.
+# Multiply-adds in one block's products (rows x ports x latent columns,
+# summed over the maps sharing the draw) from which the workers run on
+# threads. Below it a thread's start-up and the BLAS contention cost about
+# what a second core saves.
 _THREAD_MIN = 2 ** 25
 
 
@@ -108,31 +113,40 @@ def _fill(rng: np.random.Generator, z: np.ndarray) -> None:
     z *= math.sqrt(0.5)
 
 
-def _sample(mat: np.ndarray, cfg: McConfig, reduce, nout: int) -> list[int]:
-    """Sums over all trials of reduce(gains), nout Python ints.
+def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> list[list[int]]:
+    """Sums over all trials of reduce(gains) under each map, nout Python ints per map.
 
-    mat maps the latent standard-normal coordinates to port amplitudes
-    (a Cholesky factor, full or pivoted, for the full model, U_K sqrt(L_K)
-    for truncated). reduce takes a tile of squared port gains, rows are
-    trials, and returns nout integers; the tile is valid only during the
-    call. Two real matmuls beat one complex one and keep the arithmetic
-    bit-stable for one BLAS build. Tiles are cut at multiples of 256
-    rows, a block's last tile taking the short remainder: a small BLAS
-    call could round its rows differently from the whole block's product.
+    Each map takes the latent standard-normal coordinates to the same
+    ports (a Cholesky factor, full or pivoted, for the full model,
+    U_K sqrt(L_K) for truncated). The maps share one draw: map j reads
+    the first maps[j].shape[1] latent columns of each trial, so the
+    nested truncations K = 1..k of one spectrum are counted on common
+    random numbers, and a map as wide as the widest sees exactly the
+    draws a call with it alone would. reduce takes a tile of squared
+    port gains, rows are trials, and returns nout integers; the tile is
+    valid only during the call. Two real matmuls beat one complex one
+    and keep the arithmetic bit-stable for one BLAS build. Tiles are cut
+    at multiples of 256 rows, a block's last tile taking the short
+    remainder: a small BLAS call could round its rows differently from
+    the whole block's product. Each block is drawn once, and each of its
+    tiles is mapped by every map in turn through the same two port-sized
+    tile buffers, so the slab does not grow with the number of maps.
 
     At or above _THREAD_MIN the workers run on threads, each claiming
     the next worker index; a failure, in a thread or while the caller
     waits, stops every thread at its next claim, and is re-raised here
     once all are joined.
     """
-    nports, ncols = mat.shape
+    nports = maps[0].shape[0]
+    ncols = max(mat.shape[1] for mat in maps)
     base, extra = divmod(cfg.trials, cfg.workers)
     rows = max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols, nports)))
     step = min(rows, base + (extra > 0))  # no more than the largest slice
     cut = 256 * max(1, _TILE_FLOATS // (256 * nports))
     tall = min(step, 2 * cut - 1)  # the tallest tile: a cut and a remainder
     streams = min(cfg.workers, cfg.trials)
-    threads = min(streams, os.cpu_count() or 1) if step * ncols * nports >= _THREAD_MIN else 1
+    madds = step * nports * sum(mat.shape[1] for mat in maps)  # one block's products
+    threads = min(streams, os.cpu_count() or 1) if madds >= _THREAD_MIN else 1
     # per thread, two latent blocks sized as if the factor had full rank, so
     # passes of any rank over one port count share one slab (latent rows a
     # low-rank pass leaves alone cost no resident memory), then two tiles
@@ -149,7 +163,7 @@ def _sample(mat: np.ndarray, cfg: McConfig, reduce, nout: int) -> list[int]:
         at = k * 2 * (nz + ng)
         zr, zi = (slab[i : i + step * ncols].reshape(step, ncols) for i in (at, at + nz))
         gr, gi = (slab[i : i + ng].reshape(tall, nports) for i in (at + 2 * nz, at + 2 * nz + ng))
-        total = np.zeros(nout, dtype=np.int64)
+        total = np.zeros((len(maps), nout), dtype=np.int64)
         try:
             while (w := claim()) is not None:
                 rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
@@ -161,12 +175,14 @@ def _sample(mat: np.ndarray, cfg: McConfig, reduce, nout: int) -> list[int]:
                     starts = range(0, max(cut, m - m % cut), cut)
                     for t0, t1 in zip(starts, [*starts[1:], m]):
                         r, i = gr[: t1 - t0], gi[: t1 - t0]
-                        np.matmul(zr[t0:t1], mat.T, out=r)
-                        np.square(r, out=r)
-                        np.matmul(zi[t0:t1], mat.T, out=i)
-                        np.square(i, out=i)
-                        i += r  # addition commutes, so the order of the parts is moot
-                        total += reduce(i)
+                        for mat, sums in zip(maps, total):
+                            c = mat.shape[1]
+                            np.matmul(zr[t0:t1, :c], mat.T, out=r)
+                            np.square(r, out=r)
+                            np.matmul(zi[t0:t1, :c], mat.T, out=i)
+                            np.square(i, out=i)
+                            i += r  # addition commutes, so the order of the parts is moot
+                            sums += reduce(i)
         except BaseException:
             failed.set()
             raise
@@ -200,18 +216,24 @@ def _thresholds(x: float | Sequence[float]) -> np.ndarray:
 
 
 def _outage(
-    mat: np.ndarray, x: float | Sequence[float], cfg: McConfig
-) -> OutageEstimate | tuple[OutageEstimate, ...]:
+    maps: Sequence[np.ndarray], x: float | Sequence[float], cfg: McConfig
+) -> list[OutageEstimate | tuple[OutageEstimate, ...]]:
+    """Per map, the estimate at x (a number) or a tuple of them (a sequence), from one draw."""
     xs = _thresholds(x)
 
     def hits(gains):  # trials whose best port stays below each threshold
         return np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)
 
-    n, estimates = cfg.trials, []
-    for h in _sample(mat, cfg, hits, xs.size):
-        p = h / n
-        estimates.append(OutageEstimate(p=p, trials=n, hits=h, std_err=math.sqrt(p * (1.0 - p) / n)))
-    return estimates[0] if np.ndim(x) == 0 else tuple(estimates)
+    n, out = cfg.trials, []
+    for counts in _sample(maps, cfg, hits, xs.size):
+        estimates = tuple(_estimate(h, n) for h in counts)
+        out.append(estimates[0] if np.ndim(x) == 0 else estimates)
+    return out
+
+
+def _estimate(hits: int, n: int) -> OutageEstimate:
+    p = hits / n
+    return OutageEstimate(p=p, trials=n, hits=hits, std_err=math.sqrt(p * (1.0 - p) / n))
 
 
 def simulate_outage(
@@ -227,7 +249,7 @@ def simulate_outage(
     CholeskyFactor, full or pivoted, is sampled as given.
     """
     factor = R if isinstance(R, CholeskyFactor) else cholesky(R)
-    return _outage(factor.lower, x, cfg)
+    return _outage([factor.lower], x, cfg)[0]
 
 
 def truncated_gain_matrix(kl: EigenSpectrum) -> np.ndarray:
@@ -242,7 +264,23 @@ def simulate_outage_truncated(
 
     x is a number or a sequence of thresholds, as in simulate_outage.
     """
-    return _outage(truncated_gain_matrix(kl), x, cfg)
+    return _outage([truncated_gain_matrix(kl)], x, cfg)[0]
+
+
+def simulate_outage_ladder(
+    kl: EigenSpectrum, x: float | Sequence[float], cfg: McConfig
+) -> tuple[OutageEstimate | tuple[OutageEstimate, ...], ...]:
+    """Outage of every truncation K = 1..kl.rank of kl, from one set of draws.
+
+    Entry K - 1 is what simulate_outage_truncated(kl_truncate(kl, K), x,
+    cfg) estimates, an estimate or a tuple of them as x is a number or a
+    sequence. Every rank reads the leading K of the same kl.rank mode
+    coordinates per trial (common random numbers), so neighbouring
+    ranks' estimates are positively correlated, and the top one is
+    bit-for-bit simulate_outage_truncated(kl, x, cfg).
+    """
+    mat = truncated_gain_matrix(kl)
+    return tuple(_outage([mat[:, :k].copy() for k in range(1, kl.rank + 1)], x, cfg))
 
 
 def count_upcrossings(
@@ -262,6 +300,6 @@ def count_upcrossings(
         cross = ((gains[:, :-1] < u) & (gains[:, 1:] >= u)).sum(axis=1)
         return cross.sum(), (cross * cross).sum()
 
-    s1, s2 = _sample(cholesky(correlation_matrix(config)).lower, cfg, sums, 2)
+    ((s1, s2),) = _sample([cholesky(correlation_matrix(config)).lower], cfg, sums, 2)
     n = cfg.trials
     return s1 / n, math.sqrt((n * s2 - s1 * s1) / n**2 / n)

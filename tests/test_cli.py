@@ -389,3 +389,29 @@ def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
         assert done.returncode == 0, done.stderr
         bodies.append(body_lines(out))
     assert bodies[0] == bodies[1]
+
+
+def test_kl_ladder_does_not_depend_on_blas_threads(tmp_path):
+    # N = 400, W = 5: LAPACK's eigenvectors follow the BLAS thread count in
+    # their last bits. A sign rule keyed on each mode's largest entry, which
+    # ties with its mirror image, moved the trunc_* cells of 28 of these 30
+    # rows. The eps_* cells still move with the eigenvalues' roundoff, so
+    # only the sampled cells are compared.
+    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
+    sampled = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / f"threads{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "fas_extremes.cli", "kl-convergence", "--N", "400", "--W", "5",
+             "--K", "30", "--trials", "4000", "--snr-db", "-5", "--workers", "2", "--seed", "42",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = data_rows(out)
+        assert len(rows) == 30
+        sampled.append([{k: v for k, v in row.items() if not k.startswith("eps_")} for row in rows])
+    assert sampled[0] == sampled[1]

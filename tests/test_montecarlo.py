@@ -35,6 +35,7 @@ from fas_extremes.montecarlo import (
     OutageEstimate,
     count_upcrossings,
     simulate_outage,
+    simulate_outage_ladder,
     simulate_outage_truncated,
 )
 from fas_extremes.specialfn import DomainError
@@ -175,19 +176,20 @@ class TestCliSamplesOncePerField:
     from a matrix built and factored once."""
 
     @pytest.mark.parametrize(
-        "argv,full,truncated",
+        "argv,full,ladder",
         [
             (["outage-aperture", "--W", "1", "--N", "10", "--snr-db", "-5,0,5"], 2, 0),
             (["outage-snr", "--N", "6", "--snr-db", "-5,0,5"], 2, 0),
             (["outage-ports", "--W", "1", "--N", "5", "--snr-db", "-5,0"], 2, 0),
             (["gauss-error", "--W", "1", "--N", "6"], 2, 0),
-            (["kl-convergence", "--N", "8", "--K", "3"], 2, 6),
+            (["kl-convergence", "--N", "8", "--K", "3"], 2, 2),
             (["slepian-blocks", "--N", "8", "--blocks", "2"], 1, 0),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else str(v),
     )
-    def test_call_counts(self, tmp_path, monkeypatch, argv, full, truncated):
-        calls = {"full": 0, "truncated": 0}
+    def test_call_counts(self, tmp_path, monkeypatch, argv, full, ladder):
+        # kl-convergence samples each model's whole K ladder in one call
+        calls = {"full": 0, "truncated": 0, "ladder": 0}
         fields = {"built": 0, "factored": 0}
 
         def tally(kind, fn):
@@ -211,12 +213,15 @@ class TestCliSamplesOncePerField:
         monkeypatch.setattr(
             cli, "simulate_outage_truncated", counting("truncated", simulate_outage_truncated)
         )
+        monkeypatch.setattr(
+            cli, "simulate_outage_ladder", counting("ladder", simulate_outage_ladder)
+        )
         monkeypatch.setattr(cli, "correlation_matrix", tally("built", correlation_matrix))
         monkeypatch.setattr(cli, "pivoted_cholesky", tally("factored", pivoted_cholesky))
         rc = cli.main(argv + ["--trials", "500", "--workers", "1",
                               "--out", str(tmp_path / "out.csv")])
         assert rc == 0
-        assert calls == {"full": full, "truncated": truncated}
+        assert calls == {"full": full, "truncated": 0, "ladder": ladder}
         # each field is built once and factored once, whatever else reads it
         assert fields == {"built": full, "factored": full}
 
@@ -274,7 +279,7 @@ def _tiles(mat, cfg):
         got.append(gains.copy())
         return (len(gains),)
 
-    assert montecarlo._sample(mat, cfg, keep, 1) == [cfg.trials]
+    assert montecarlo._sample([mat], cfg, keep, 1) == [[cfg.trials]]
     return got
 
 
@@ -321,27 +326,26 @@ class TestGainChunks:
         assert np.array_equal(np.concatenate(tiles), np.concatenate(fresh))
 
 
-def _serial_gain_chunks(mat, cfg):
-    """The sampler's blocks drawn and mapped whole, one after another: the reference."""
-    nports, ncols = mat.shape
+def _serial_latents(nports, ncols, cfg):
+    """Every worker's latent blocks, (real, imaginary), drawn whole one after another."""
     base, extra = divmod(cfg.trials, cfg.workers)
     rows = max(1024, min(262_144, montecarlo._CHUNK_BUDGET // max(1, ncols, nports)))
     step = min(rows, base + (extra > 0))
-    z = np.empty((step, ncols))
-    gr = np.empty((step, nports))
-    gi = np.empty((step, nports))
     root_half = math.sqrt(0.5)
     for w in range(min(cfg.workers, cfg.trials)):
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
         n_w = base + (w < extra)
         for done in range(0, n_w, step):
             m = min(step, n_w - done)
-            for g in (gr[:m], gi[:m]):
-                rng.standard_normal(out=z[:m])
-                z[:m] *= root_half
-                np.matmul(z[:m], mat.T, out=g)
-                np.square(g, out=g)
-            yield gr[:m] + gi[:m]
+            zr = rng.standard_normal((m, ncols)) * root_half
+            zi = rng.standard_normal((m, ncols)) * root_half
+            yield zr, zi
+
+
+def _serial_gain_chunks(mat, cfg):
+    """The sampler's blocks drawn and mapped whole, one after another: the reference."""
+    for zr, zi in _serial_latents(*mat.shape, cfg):
+        yield (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2
 
 
 class TestDrawAhead:
@@ -429,10 +433,11 @@ class TestWorkerThreads:
         return {
             "outage": lambda: simulate_outage(R, TestWorkerThreads.XS, cfg),
             "truncated": lambda: simulate_outage_truncated(kl, TestWorkerThreads.XS, cfg),
+            "ladder": lambda: simulate_outage_ladder(kl, TestWorkerThreads.XS, cfg),
             "upcrossings": lambda: count_upcrossings(config, 1.0, cfg),
         }
 
-    @pytest.mark.parametrize("sampler", ["outage", "truncated", "upcrossings"])
+    @pytest.mark.parametrize("sampler", ["outage", "truncated", "ladder", "upcrossings"])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_threads_and_calling_thread_agree(self, monkeypatch, sampler, workers):
         # 1024-row blocks and 256-row tiles; eight workers on four threads,
@@ -534,6 +539,7 @@ class TestScratchSlab:
         calls = (
             lambda: simulate_outage(factor, [0.3, 1.0, 2.5], cfg),
             lambda: simulate_outage_truncated(kl, [0.3, 1.0, 2.5], cfg),
+            lambda: simulate_outage_ladder(kl, [0.3, 1.0, 2.5], cfg),
             lambda: count_upcrossings(config, 1.0, cfg),
         )
         cold = []
@@ -568,12 +574,12 @@ class TestScratchSlab:
                 inner.append(c.copy())
                 return (len(c),)
 
-            assert montecarlo._sample(full, cfg_c, inner_reduce, 1) == [500]
+            assert montecarlo._sample([full], cfg_c, inner_reduce, 1) == [[500]]
             assert len(inner) == 1 and np.array_equal(inner[0], first_c)
             outer.append(g.copy())  # the inner pass left the outer tile alone
             return (len(g),)
 
-        assert montecarlo._sample(full, cfg_a, outer_reduce, 1) == [5_003]
+        assert montecarlo._sample([full], cfg_a, outer_reduce, 1) == [[5_003]]
         assert len(outer) == 6
         assert _rows(outer) == _rows(_serial_gain_chunks(full, cfg_a))
         assert len(scratch) == 1
@@ -604,9 +610,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_repeated_cli_call_takes_few_page_faults(tmp_path):
-    # kl-ladder's argv: 26 sampler calls per CLI call. Fresh chunk
-    # buffers there cost about 31,000 minor faults per call; the reused
-    # scratch slab leaves a warm call almost none.
+    # kl-ladder's argv: 4 sampler calls per CLI call, whose blocks and
+    # tiles come from the reused scratch slab, so a warm call takes
+    # almost no minor faults.
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -636,7 +642,7 @@ for model in CorrelationModel:
             return (len(gains),)
 
         cfg = montecarlo.McConfig(trials=10_000 * workers // 2, seed=42, workers=workers)
-        montecarlo._sample(factor.lower, cfg, keep, 1)
+        montecarlo._sample([factor.lower], cfg, keep, 1)
         # tiles reach keep in any order when threads run
         print(hashlib.sha256("".join(sorted(digests)).encode()).hexdigest(), sorted(threads))
 """
@@ -741,6 +747,61 @@ class TestTruncated:
         full = simulate_outage_truncated(kl_truncate(spec, 30), 1.0, cfg)
         trunc = simulate_outage_truncated(kl_truncate(spec, 2), 1.0, cfg)
         assert trunc.p > full.p + 3.0 * math.hypot(full.std_err, trunc.std_err)
+
+
+class TestLadder:
+    """Every truncation rank K = 1..k from one draw of k mode coordinates per trial."""
+
+    XS = [0.3, 1.0, 2.5, 4.0]
+
+    @staticmethod
+    def _spectrum():
+        return kl_truncate(eigendecompose(_gauss_n8()), 5)
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rungs_match_explicit_reference(self, monkeypatch, workers, budget):
+        if budget is not None:  # 1024-row blocks, several per worker
+            monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
+        kl = self._spectrum()
+        cfg = McConfig(trials=5_003, seed=11, workers=workers)
+        ladder = simulate_outage_ladder(kl, self.XS, cfg)
+        assert len(ladder) == kl.rank
+        B = montecarlo.truncated_gain_matrix(kl)
+        blocks = list(_serial_latents(*B.shape, cfg))
+        for K, rung in enumerate(ladder, start=1):
+            # rank K reads the first K of the same coordinates
+            best = np.concatenate([
+                ((zr[:, :K] @ B[:, :K].T) ** 2 + (zi[:, :K] @ B[:, :K].T) ** 2).max(axis=1)
+                for zr, zi in blocks
+            ])
+            assert [e.hits for e in rung] == [int(np.count_nonzero(best < x)) for x in self.XS]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_top_rung_is_the_truncated_pass(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        kl = self._spectrum()
+        cfg = McConfig(trials=5_003, seed=11, workers=workers)
+        ladder = simulate_outage_ladder(kl, self.XS, cfg)
+        assert ladder[-1] == simulate_outage_truncated(kl, self.XS, cfg)
+        # the rungs below it are other draws of the lower ranks' outage
+        assert ladder[0] != simulate_outage_truncated(kl_truncate(kl, 1), self.XS, cfg)
+
+    @pytest.mark.parametrize("trials", [1, 5, 3_000])
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_every_trial_counted_once_per_rung(self, monkeypatch, trials, workers):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
+        cfg = McConfig(trials=trials, seed=11, workers=workers)
+        ladder = simulate_outage_ladder(self._spectrum(), 1e6, cfg)
+        assert [est.hits for est in ladder] == [trials] * 5
+
+    def test_bad_thresholds_raise_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples for an invalid threshold")
+
+        monkeypatch.setattr(montecarlo, "_sample", no_draws)
+        with pytest.raises(DomainError):
+            simulate_outage_ladder(self._spectrum(), [1.0, 0.0], McConfig(trials=10))
 
 
 class TestUpcrossings:
