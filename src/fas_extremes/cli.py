@@ -274,6 +274,7 @@ def _run_outage_ports(args):
                 row = _mc_cells({"N": N, "W": W, "snr_db": snr, "x": x},
                                 {m: mc[N, m][i] for m in MODELS})
                 row["continuum"] = cont.value
+                row["continuum_clamped"] = cont.clamped
                 rows.append(row)
     return rows, {}
 

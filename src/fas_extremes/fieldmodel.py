@@ -137,19 +137,20 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     """Full symmetric eigendecomposition with a reproducible layout.
 
     One LAPACK call (numpy.linalg.eigh). The input must be positive
-    semi-definite, as every correlation matrix is. Its entries carry
-    kernel-evaluation error (the series J0 is off by up to 3.4e-13 on
-    the Jakes N = 20, W = 3 grid, whose float matrix a 40-digit mpmath
-    eigsy finds indefinite at -1.0e-13), so the guard allows what the
-    Cholesky sampler allows: an eigenvalue below -JITTER_LADDER[-1]
-    (or below the solver's roundoff floor n eps max|lambda|, if that is
-    larger) raises DomainError. The rest are reported as |lambda|, the
-    matrix's singular values. Those keep the solver's Weyl bound of
-    n eps max|lambda| and sit no farther from the eigenvalues of any
-    PSD matrix than lambda does. Tail eigenvalues below that floor are
-    roundoff magnitudes, not the true values: for the Gaussian kernel
-    at N = 50, W = 3, a 120-digit mpmath eigsy puts the smallest
-    eigenvalue at 7.1e-24, where eigh returns -6.3e-16.
+    semi-definite, as every correlation matrix is. Its entries are
+    rounded, so a singular one can come out indefinite by roundoff (the
+    float Jakes N = 20, W = 3 matrix's smallest eigvalsh eigenvalue is
+    -1.4e-16, and -2.3e-16 with its lags from mpmath). So the guard
+    allows what the Cholesky sampler allows: an eigenvalue below
+    -JITTER_LADDER[-1] (or below the solver's roundoff floor
+    n eps max|lambda|, if that is larger) raises DomainError. The rest
+    are reported as |lambda|, the matrix's singular values. Those keep
+    the solver's Weyl bound of n eps max|lambda| and sit no farther
+    from the eigenvalues of any PSD matrix than lambda does. Tail
+    eigenvalues below that floor are roundoff magnitudes, not the true
+    values: for the Gaussian kernel at N = 50, W = 3, a 120-digit mpmath
+    eigsy puts the smallest eigenvalue at 7.1e-24, where eigh returns
+    -6.3e-16.
 
     Eigenvalues are sorted descending; ties keep the smaller pre-sort
     index first. Each eigenvector's sign is fixed so that its first
@@ -162,9 +163,9 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     m = symmetric(R, "eigendecompose R")
     n = m.shape[0]
     vals, vecs = np.linalg.eigh(m)
-    roundoff = n * np.finfo(float).eps * float(np.abs(vals).max(initial=0.0))
+    roundoff = n * np.finfo(float).eps * float(np.abs(vals).max())
     tol = max(JITTER_LADDER[-1], roundoff)
-    if n and vals[0] < -tol:
+    if vals[0] < -tol:
         raise DomainError(
             f"matrix is not positive semi-definite: eigenvalue {vals[0]:.3e} below -{tol:.3e}"
         )
@@ -232,11 +233,11 @@ def pivoted_cholesky(R: np.ndarray) -> CholeskyFactor:
     0.0.
 
     A residual diagonal below -JITTER_LADDER[-1], the tolerance
-    eigendecompose allows, means R is indefinite beyond kernel roundoff
-    and raises DomainError. Smaller negative residuals are roundoff (the
-    float Jakes matrix at N = 20, W = 3 is indefinite at -1.0e-13) and
-    are left out of F with the rest. A matrix with no diagonal entry
-    above the stop has no field to sample and raises DomainError too.
+    eigendecompose allows, means R is indefinite beyond roundoff and
+    raises DomainError. Smaller negative residuals are roundoff in R's
+    entries or in the updates, and are left out of F with the rest. A
+    matrix with no diagonal entry above the stop has no field to sample
+    and raises DomainError too.
     """
     m = symmetric(R, "pivoted_cholesky R")
     n = m.shape[0]

@@ -230,6 +230,17 @@ class TestOutputs:
         assert float(r["slepian_lo"]) <= float(r["slepian_hi"])
         assert r["continuum_clamped"] in ("true", "false")
 
+    def test_outage_ports_columns(self, tmp_path):
+        rc, out = run(tmp_path, "outage-ports", "--trials", "1000", "--N", "5",
+                      "--W", "2", "--snr-db", "-5", "--workers", "1")
+        rows = data_rows(out)
+        assert list(rows[0]) == [
+            "N", "W", "snr_db", "x", "mc_jakes", "std_err_jakes", "mc_gauss",
+            "std_err_gauss", "continuum", "continuum_clamped",
+        ]
+        # the printed formula is about -0.23 here
+        assert rows[0]["continuum"] == "0" and rows[0]["continuum_clamped"] == "true"
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_every_experiment_writes_wellformed_csv(self, tmp_path, name):
         argv = [name, "--workers", "1"]
