@@ -17,7 +17,8 @@ seeded Monte Carlo oracle:
                block-refined products; Slepian's ordering, proven only
                in special cases for complex fields)
   continuum    dense-aperture outage asymptotics and the crossing rate
-  montecarlo   reproducible parallel-stream simulation oracle
+  montecarlo   seeded simulation oracle, its trials split into
+               independent Philox streams run in order
   specialfn    Bessel J0, Marcum Q1, and NumPy's Gauss-Hermite and
                Gauss-Laguerre rules
   cli          the fas-extremes experiment driver

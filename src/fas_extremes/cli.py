@@ -288,6 +288,8 @@ def _run_kl_convergence(args):
         raise DomainError(f"K sweep limit must be in [1, {N}], got {k_max}")
     meta = {}
     tags = [("m" if s < 0 else "p") + f"{abs(s):g}".replace(".", "_") for s in args.snr_db]
+    if len(set(tags)) < len(tags):  # one column per tag: a repeat would drop cells
+        raise DomainError(f"kl-convergence needs --snr-db values with distinct tags, got {tags}")
     for m in MODELS:
         for tag, est in zip(tags, _mc(R[m], args.xs, args.cfg)):
             meta[f"mc_full_{m}_{tag}"] = _mc_meta(est)

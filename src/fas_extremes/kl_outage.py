@@ -4,8 +4,10 @@ Keeping K eigenmodes turns the correlated max-gain problem into a
 K-dimensional integral over independent complex normals. Rank 1 is
 closed form and rank 2 reduces to averaging a disk-intersection
 probability over the dominant mode. Higher ranks go through the
-truncated Monte Carlo sampler (montecarlo.simulate_outage_truncated),
-which is also the arbiter for both closed routes.
+truncated Monte Carlo samplers: montecarlo.simulate_outage_ladder,
+which the CLI uses to count every rank K <= k from one draw, and
+simulate_outage_truncated for a single rank, the arbiter for both
+closed routes.
 """
 
 from __future__ import annotations

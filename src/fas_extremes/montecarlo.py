@@ -20,14 +20,11 @@ one, and maps each block to the ports in row tiles of a few hundred
 trials that stay in cache; a tile's matmul is a row slice of the whole
 block's product, so the draws and gains are those the oracle fixture
 pins. The estimator reduces each tile to integers (hits per threshold,
-or the upcrossing count's sum and sum of squares), and the caller adds
-every worker's integers, so no result depends on which thread ran a
-worker. When one block's product reaches _THREAD_MIN multiply-adds the
-workers run on min(workers, cpu count) threads; otherwise, as with one
-worker or one CPU, they run in order on the calling thread and no
-thread starts. Blocks and tiles are views of one scratch slab
-(specialfn.borrow), sized from the thread count, block and port count,
-and reused from call to call.
+or the upcrossing count's sum and sum of squares), which are added into
+one total. Workers run in order on the calling thread, and no thread
+starts. Blocks and tiles are views of one scratch slab
+(specialfn.borrow), sized from the block and port count, and reused
+from call to call.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds and count
@@ -43,8 +40,6 @@ turn, in place of k passes that draw 1 + 2 + ... + k coordinates.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -72,17 +67,12 @@ __all__ = [
 # Floats per latent block. A block's rows (step) are the most it holds,
 # within [1024, 262144] and no more than a worker's slice; they fix which
 # normals become real and which imaginary parts, so changing this changes
-# every draw. A thread's part of the scratch slab is two blocks and two tiles.
+# every draw. The scratch slab holds two blocks and two tiles.
 _CHUNK_BUDGET = 4_000_000
 # Floats per tile: a tile is the most multiples of 256 rows it holds, so at
 # N = 200 a tile's products and row max stay in a 2 MB L2 cache, while a
 # field of few ports is not cut into tiles whose numpy-call overhead shows.
 _TILE_FLOATS = 65_536
-# Multiply-adds in one block's products (rows x ports x latent columns,
-# summed over the maps sharing the draw) from which the workers run on
-# threads. Below it a thread's start-up and the BLAS contention cost about
-# what a second core saves.
-_THREAD_MIN = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -132,10 +122,9 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     tiles is mapped by every map in turn through the same two port-sized
     tile buffers, so the slab does not grow with the number of maps.
 
-    At or above _THREAD_MIN the workers run on threads, each claiming
-    the next worker index; a failure, in a thread or while the caller
-    waits, stops every thread at its next claim, and is re-raised here
-    once all are joined.
+    Workers run in order on the calling thread: worker w draws its slice
+    from Philox(seed).jumped(w), and every tile's integers are added to
+    one int64 total.
     """
     nports = maps[0].shape[0]
     ncols = max(mat.shape[1] for mat in maps)
@@ -144,66 +133,36 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     step = min(rows, base + (extra > 0))  # no more than the largest slice
     cut = 256 * max(1, _TILE_FLOATS // (256 * nports))
     tall = min(step, 2 * cut - 1)  # the tallest tile: a cut and a remainder
-    streams = min(cfg.workers, cfg.trials)
-    madds = step * nports * sum(mat.shape[1] for mat in maps)  # one block's products
-    threads = min(streams, os.cpu_count() or 1) if madds >= _THREAD_MIN else 1
-    # per thread, two latent blocks sized as if the factor had full rank, so
-    # passes of any rank over one port count share one slab (latent rows a
-    # low-rank pass leaves alone cost no resident memory), then two tiles
+    # two latent blocks sized as if the factor had full rank, so passes of
+    # any rank over one port count share one slab (latent rows a low-rank
+    # pass leaves alone cost no resident memory), then two tiles
     nz, ng = step * max(ncols, nports), tall * nports
-    slab = borrow(threads * 2 * (nz + ng))
-    order, lock, failed = iter(range(streams)), threading.Lock(), threading.Event()
-
-    def claim() -> int | None:
-        with lock:
-            return None if failed.is_set() else next(order, None)
-
-    def drain(k: int) -> np.ndarray:
-        """Totals of the workers thread k claims, drawn and mapped in its part of the slab."""
-        at = k * 2 * (nz + ng)
-        zr, zi = (slab[i : i + step * ncols].reshape(step, ncols) for i in (at, at + nz))
-        gr, gi = (slab[i : i + ng].reshape(tall, nports) for i in (at + 2 * nz, at + 2 * nz + ng))
-        total = np.zeros((len(maps), nout), dtype=np.int64)
-        try:
-            while (w := claim()) is not None:
-                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
-                n_w = base + (w < extra)
-                for done in range(0, n_w, step):
-                    m = min(step, n_w - done)
-                    _fill(rng, zr[:m])
-                    _fill(rng, zi[:m])
-                    starts = range(0, max(cut, m - m % cut), cut)
-                    for t0, t1 in zip(starts, [*starts[1:], m]):
-                        r, i = gr[: t1 - t0], gi[: t1 - t0]
-                        for mat, sums in zip(maps, total):
-                            c = mat.shape[1]
-                            np.matmul(zr[t0:t1, :c], mat.T, out=r)
-                            np.square(r, out=r)
-                            np.matmul(zi[t0:t1, :c], mat.T, out=i)
-                            np.square(i, out=i)
-                            i += r  # addition commutes, so the order of the parts is moot
-                            sums += reduce(i)
-        except BaseException:
-            failed.set()
-            raise
-        return total
-
+    slab = borrow(2 * (nz + ng))
+    zr, zi = (slab[i : i + step * ncols].reshape(step, ncols) for i in (0, nz))
+    gr, gi = (slab[i : i + ng].reshape(tall, nports) for i in (2 * nz, 2 * nz + ng))
+    total = np.zeros((len(maps), nout), dtype=np.int64)
     try:
-        if threads == 1:
-            parts = [drain(0)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # loads logging: ~10 ms
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:  # joins every thread
-                futures = [pool.submit(drain, k) for k in range(threads)]
-                try:
-                    parts = [f.result() for f in futures]  # re-raises a thread's failure
-                except BaseException:  # or an interrupt while waiting
-                    failed.set()
-                    raise
+        for w in range(min(cfg.workers, cfg.trials)):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(w))
+            n_w = base + (w < extra)
+            for done in range(0, n_w, step):
+                m = min(step, n_w - done)
+                _fill(rng, zr[:m])
+                _fill(rng, zi[:m])
+                starts = range(0, max(cut, m - m % cut), cut)
+                for t0, t1 in zip(starts, [*starts[1:], m]):
+                    r, i = gr[: t1 - t0], gi[: t1 - t0]
+                    for mat, sums in zip(maps, total):
+                        c = mat.shape[1]
+                        np.matmul(zr[t0:t1, :c], mat.T, out=r)
+                        np.square(r, out=r)
+                        np.matmul(zi[t0:t1, :c], mat.T, out=i)
+                        np.square(i, out=i)
+                        i += r  # addition commutes, so the order of the parts is moot
+                        sums += reduce(i)
     finally:
         give_back(slab)
-    return sum(parts).tolist()  # integers, so the order of the additions is moot
+    return total.tolist()
 
 
 def _thresholds(x: float | Sequence[float]) -> np.ndarray:

@@ -101,6 +101,10 @@ class TestExitCodes:
             # near-coincident ports clamp rho_max to 1 - 1e-12, past the
             # Marcum window cap, which must raise rather than run for minutes
             ["outage-snr", "--W", "1e-7", "--N", "2", "--snr-db", "0", "--trials", "1000"],
+            # kl-convergence names its columns by SNR, so a repeated one,
+            # or -0 beside 0, would share a column and drop cells
+            ["kl-convergence", "--N", "8", "--snr-db", "5,5", "--trials", "100"],
+            ["kl-convergence", "--N", "8", "--snr-db=-0,0", "--trials", "100"],
         ):
             assert main([*argv, "--out", str(out)]) == 1, argv
             # atomic write: the failed run leaves nothing behind

@@ -242,6 +242,14 @@ class TestDeterminism:
         b = simulate_outage(R, 1.0, McConfig(trials=400_000, seed=42, workers=4))
         assert abs(a.p - b.p) <= 3.0 * math.hypot(a.std_err, b.std_err)
 
+    def test_workers_past_the_trials_are_never_visited(self):
+        # 10^9 workers: those past the fifth own empty slices and cost nothing
+        R = _gauss_n8()
+        xs = [0.3, 1.0, 2.5, 4.0]
+        assert simulate_outage(R, xs, McConfig(trials=5, seed=3, workers=10**9)) == (
+            simulate_outage(R, xs, McConfig(trials=5, seed=3, workers=5))
+        )
+
     def test_seed_matters(self):
         R = np.eye(3)
         a = simulate_outage(R, 1.0, McConfig(trials=50_000, seed=1))
@@ -281,18 +289,6 @@ def _tiles(mat, cfg):
 
     assert montecarlo._sample([mat], cfg, keep, 1) == [[cfg.trials]]
     return got
-
-
-def _rows(blocks):
-    """The rows of a list of gain blocks as a sorted list of bytes: their multiset."""
-    return sorted(row.tobytes() for block in blocks for row in block)
-
-
-@pytest.fixture
-def threaded(monkeypatch):
-    """Workers run on threads at every block size, on a host of four CPUs."""
-    monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
 
 
 class TestGainChunks:
@@ -349,20 +345,16 @@ def _serial_gain_chunks(mat, cfg):
 
 
 class TestDrawAhead:
-    """Worker streams drawn ahead on pool threads, and blocks mapped in
-    tiles, change no bit of the serial loop's gains."""
+    """Blocks mapped in tiles change no bit of the serial loop's gains."""
 
     XS = [0.3, 1.0, 2.5, 4.0]
 
-    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
     @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N", [7, 64, 200])
-    def test_matches_serial_loop(self, request, monkeypatch, N, workers, budget, overlap):
+    def test_matches_serial_loop(self, monkeypatch, N, workers, budget):
         if budget is not None:  # 1024-row blocks, several per worker
             monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
-        if overlap is not None:
-            request.getfixturevalue("threaded")
         R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
         factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
         for trials in (1, 5, 1_025, 5_003):
@@ -372,166 +364,54 @@ class TestDrawAhead:
                 (montecarlo.truncated_gain_matrix(kl), simulate_outage_truncated(kl, self.XS, cfg)),
             ):
                 ref = list(_serial_gain_chunks(mat, cfg))
-                # threads reduce their tiles in any order, so the rows are compared as a multiset
-                assert _rows(_tiles(mat, cfg)) == _rows(ref)
+                # the tiles, in the order reduced, are the blocks' rows in order
+                assert np.array_equal(np.concatenate(_tiles(mat, cfg)), np.concatenate(ref))
                 best = np.concatenate([c.max(axis=1) for c in ref])
                 assert [e.hits for e in estimates] == [
                     int(np.count_nonzero(best < x)) for x in self.XS
                 ]
 
-    @pytest.mark.usefixtures("threaded")
-    def test_helper_failure_raised_by_caller(self, monkeypatch):
-        fill, threads = montecarlo._fill, []
+    def test_helper_failure_raised_by_caller(self, monkeypatch, scratch):
+        # a failing draw re-raises in the caller, which still gives its slab back
+        fill, drawn = montecarlo._fill, []
 
         def failing(rng, z):
-            threads.append(threading.current_thread())
-            if len(threads) == 4:  # two blocks of 1024 rows have been drawn
+            drawn.append(len(z))
+            if len(drawn) == 4:  # the imaginary part of worker 0's second, 644-row block
                 raise RuntimeError("draw failed")
             fill(rng, z)
 
         monkeypatch.setattr(montecarlo, "_fill", failing)
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             simulate_outage(cholesky(_gauss_n8()), 1.0, McConfig(trials=5_003, seed=3, workers=3))
-        # every draw ran on a pool thread, and every pool thread has been joined
-        assert threading.current_thread() not in threads
-        assert threading.active_count() == before
+        assert drawn == [1024, 1024, 644, 644]
+        assert len(scratch) == 1
 
-    @pytest.mark.parametrize(
-        "N, trials, helper",
-        [(8, 5_003, False), (20, 20_000, False), (64, 6_000, False), (200, 10_000, True)],
-    )
-    def test_helper_only_for_large_products(self, monkeypatch, N, trials, helper):
-        # N = 200 at full rank (5000 x 200 x 200 per block) runs its two
-        # workers on threads; smaller products stay on the calling thread
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        fill, threads = montecarlo._fill, []
+    def test_large_product_starts_no_thread(self, monkeypatch):
+        # full rank at N = 200 with 5000-row blocks (2e8 multiply-adds per
+        # block) on a host of four CPUs: the workers run in order on the
+        # calling thread, and no thread is started
+        def no_thread(self):
+            raise AssertionError("started a thread")
 
-        def recording(rng, z):
-            threads.append(threading.current_thread())
-            fill(rng, z)
-
-        monkeypatch.setattr(montecarlo, "_fill", recording)
-        R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
-        cfg = McConfig(trials=trials, seed=3, workers=2)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=CorrelationModel.GAUSSIAN))
+        cfg = McConfig(trials=10_000, seed=3, workers=2)
         mat = cholesky(R).lower
-        assert _rows(_tiles(mat, cfg)) == _rows(_serial_gain_chunks(mat, cfg))
-        assert {t is threading.current_thread() for t in threads} == {not helper}
-
-
-class TestWorkerThreads:
-    """The gate, the pool's lifetime and its lazy hand-out of workers."""
-
-    XS = [0.3, 1.0, 2.5, 4.0]
-
-    @staticmethod
-    def _calls(cfg):
-        config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
-        R = correlation_matrix(config)
-        kl = kl_truncate(eigendecompose(R), 3)
-        return {
-            "outage": lambda: simulate_outage(R, TestWorkerThreads.XS, cfg),
-            "truncated": lambda: simulate_outage_truncated(kl, TestWorkerThreads.XS, cfg),
-            "ladder": lambda: simulate_outage_ladder(kl, TestWorkerThreads.XS, cfg),
-            "upcrossings": lambda: count_upcrossings(config, 1.0, cfg),
-        }
-
-    @pytest.mark.parametrize("sampler", ["outage", "truncated", "ladder", "upcrossings"])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_threads_and_calling_thread_agree(self, monkeypatch, sampler, workers):
-        # 1024-row blocks and 256-row tiles; eight workers on four threads,
-        # switching as often as the interpreter allows
-        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        monkeypatch.setattr(montecarlo, "_TILE_FLOATS", 1)
-        call = self._calls(McConfig(trials=20_011, seed=17, workers=workers))[sampler]
-        serial = call()
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert call() == serial
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("workers, cpus", [(1, 4), (3, 1), (3, None)],
-                             ids=["one-worker", "one-cpu", "cpu-count-unknown"])
-    def test_starts_no_thread(self, monkeypatch, workers, cpus):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a thread pool")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN", 0)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        for call in self._calls(McConfig(trials=3_001, seed=2, workers=workers)).values():
-            call()
-
-    @pytest.mark.usefixtures("threaded")
-    def test_pool_takes_worker_slices_lazily(self, monkeypatch):
-        # 10^9 workers: the pool never holds more worker indices than threads
-        R = _gauss_n8()
-        assert simulate_outage(R, self.XS, McConfig(trials=5, seed=3, workers=10**9)) == (
-            simulate_outage(R, self.XS, McConfig(trials=5, seed=3, workers=5))
-        )
-        fill, drawn = montecarlo._fill, []
-
-        def failing(rng, z):
-            drawn.append(len(z))
-            if len(drawn) == 8:
-                raise RuntimeError("draw failed")
-            if len(drawn) > 100:  # the others ran on: end them, and fail below
-                raise RuntimeError("runaway")
-            fill(rng, z)
-
-        monkeypatch.setattr(montecarlo, "_fill", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            simulate_outage(R, 1.0, McConfig(trials=10**12, seed=3, workers=10**9))
-        # a worker draws one 1000-row block per part; after the failure
-        # each of the other three threads finishes at most the worker it holds
-        assert set(drawn) == {1000} and len(drawn) <= 8 + 3 * 2
-        assert threading.active_count() == before
-
-    @pytest.mark.usefixtures("threaded")
-    def test_interrupt_while_waiting_stops_the_threads(self, monkeypatch):
-        # an exception in the waiting caller (here from Future.result)
-        # stops every thread at its next worker, and all are joined
-        import concurrent.futures
-
-        fill, drawn = montecarlo._fill, []
-
-        def interrupted(self, timeout=None):
-            raise KeyboardInterrupt
-
-        def counting(rng, z):
-            drawn.append(len(z))
-            if len(drawn) > 100:  # the threads ran on: end them, and fail below
-                raise RuntimeError("runaway")
-            fill(rng, z)
-
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
-        monkeypatch.setattr(montecarlo, "_fill", counting)
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            simulate_outage(_gauss_n8(), 1.0, McConfig(trials=10**12, seed=3, workers=10**9))
-        assert len(drawn) <= 100  # a few workers of 10^9
-        assert threading.active_count() == before
+        ref = np.concatenate([c.max(axis=1) for c in _serial_gain_chunks(mat, cfg)])
+        assert simulate_outage(R, 1.0, cfg).hits == int(np.count_nonzero(ref < 1.0))
 
 
 class TestScratchSlab:
     """Every block and tile is carved from a reused slab, which must change no result."""
 
-    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_warm_slab_cannot_leak(self, request, monkeypatch, scratch, workers, overlap):
+    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers):
         # 1024-row blocks: 5003 trials end every worker's slice on a
         # short block, which leaves stale rows past it in the slab
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        if overlap is not None:
-            request.getfixturevalue("threaded")
         config = ApertureConfig(W=1.0, N=8, model=CorrelationModel.GAUSSIAN)
         R = correlation_matrix(config)
         factor, kl = cholesky(R), kl_truncate(eigendecompose(R), 3)
@@ -552,14 +432,11 @@ class TestScratchSlab:
             assert call() == expect
             assert scratch == [poisoned]  # the NaN slab was the one used
 
-    @pytest.mark.parametrize("overlap", [0, None], ids=["helper-always", "helper-default"])
-    def test_live_generators_own_their_slabs(self, request, monkeypatch, scratch, overlap):
+    def test_live_generators_own_their_slabs(self, monkeypatch, scratch):
         # a reduce that samples: while each tile of an outer pass is live,
-        # an inner pass runs on the thread that holds it. Every live pass
-        # must own its slab, and together they leave one idle slab.
+        # an inner pass runs. Every live pass must own its slab, and
+        # together they leave one idle slab.
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
-        if overlap is not None:
-            request.getfixturevalue("threaded")
         full = cholesky(_gauss_n8()).lower
         cfg_a = McConfig(trials=5_003, seed=3, workers=2)
         cfg_c = McConfig(trials=500, seed=5)  # needs less slab than a
@@ -581,7 +458,8 @@ class TestScratchSlab:
 
         assert montecarlo._sample([full], cfg_a, outer_reduce, 1) == [[5_003]]
         assert len(outer) == 6
-        assert _rows(outer) == _rows(_serial_gain_chunks(full, cfg_a))
+        ref = list(_serial_gain_chunks(full, cfg_a))
+        assert np.array_equal(np.concatenate(outer), np.concatenate(ref))
         assert len(scratch) == 1
 
     def test_passes_of_different_rank_share_one_slab(self, scratch):
@@ -625,12 +503,11 @@ def test_repeated_cli_call_takes_few_page_faults(tmp_path):
 
 
 _BLAS_PROBE = """
-import hashlib, os, threading
+import hashlib, threading
 from fas_extremes import montecarlo
 from fas_extremes.fieldmodel import (ApertureConfig, cholesky, correlation_matrix,
                                      pivoted_cholesky)
 from fas_extremes.kernels import CorrelationModel
-os.cpu_count = lambda: 2  # the threaded path runs on any host
 for model in CorrelationModel:
     R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
     for factor, workers in ((pivoted_cholesky(R), 2), (cholesky(R), 2), (cholesky(R), 8)):
@@ -643,18 +520,17 @@ for model in CorrelationModel:
 
         cfg = montecarlo.McConfig(trials=10_000 * workers // 2, seed=42, workers=workers)
         montecarlo._sample([factor.lower], cfg, keep, 1)
-        # tiles reach keep in any order when threads run
         print(hashlib.sha256("".join(sorted(digests)).encode()).hexdigest(), sorted(threads))
 """
 
 
 def test_draws_do_not_depend_on_blas_threads():
     # dense-aperture's sampler config through the pivoted factor (ranks 10
-    # and 17, on the calling thread), and at full rank with 2 and 8
-    # workers (5000-row blocks, above the gate, so on two threads). BLAS
-    # reads its thread count at load. LAPACK's Cholesky (OpenBLAS 0.3.31
-    # dpotrf) gives factors up to 1.2e-4 apart at 1 and 2 threads, so the
-    # factor must not call it.
+    # and 17), and at full rank with 2 and 8 workers (5000-row blocks),
+    # every tile mapped on the calling thread. BLAS reads its thread
+    # count at load. LAPACK's Cholesky (OpenBLAS 0.3.31 dpotrf) gives
+    # factors up to 1.2e-4 apart at 1 and 2 threads, so the factor must
+    # not call it.
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -666,8 +542,7 @@ def test_draws_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.splitlines())
     assert outputs[0] == outputs[1]
-    # on the calling thread through the pivoted factor, on pool threads at full rank
-    assert [line.split(" ", 1)[1] for line in outputs[0]] == ["[True]", "[False]", "[False]"] * 2
+    assert [line.split(" ", 1)[1] for line in outputs[0]] == ["[True]"] * 6
 
 
 class TestMultiWorkerPins:
