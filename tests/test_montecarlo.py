@@ -344,15 +344,21 @@ def _serial_gain_chunks(mat, cfg):
         yield (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2
 
 
+# Cases once also run on a worker-thread pool (the "helper") keep the id
+# suffix of their default-path variant, so their ids stay stable.
+_DEFAULT_PATH = pytest.mark.parametrize("path", ["default"], ids=["helper-default"])
+
+
 class TestDrawAhead:
     """Blocks mapped in tiles change no bit of the serial loop's gains."""
 
     XS = [0.3, 1.0, 2.5, 4.0]
 
+    @_DEFAULT_PATH
     @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N", [7, 64, 200])
-    def test_matches_serial_loop(self, monkeypatch, N, workers, budget):
+    def test_matches_serial_loop(self, monkeypatch, N, workers, budget, path):
         if budget is not None:  # 1024-row blocks, several per worker
             monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
         R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
@@ -407,8 +413,9 @@ class TestDrawAhead:
 class TestScratchSlab:
     """Every block and tile is carved from a reused slab, which must change no result."""
 
+    @_DEFAULT_PATH
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers):
+    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers, path):
         # 1024-row blocks: 5003 trials end every worker's slice on a
         # short block, which leaves stale rows past it in the slab
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
@@ -432,7 +439,8 @@ class TestScratchSlab:
             assert call() == expect
             assert scratch == [poisoned]  # the NaN slab was the one used
 
-    def test_live_generators_own_their_slabs(self, monkeypatch, scratch):
+    @_DEFAULT_PATH
+    def test_live_generators_own_their_slabs(self, monkeypatch, scratch, path):
         # a reduce that samples: while each tile of an outer pass is live,
         # an inner pass runs. Every live pass must own its slab, and
         # together they leave one idle slab.
