@@ -21,11 +21,12 @@ slepian_sandwich's upper side is measured wrong.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import DomainError, gauss_laguerre, marcum_q1, real, symmetric, whole
+from .specialfn import DomainError, gauss_laguerre, marcum_q1, real, reals, symmetric, whole
 
 # Gauss-Laguerre order of the common-factor mixture in equicorr_cdf_exact
 _QUAD_POINTS = 64
@@ -84,7 +85,9 @@ def equicorr_cdf_series(x: float, rho: float, N: int) -> SeriesCdfResult:
     return SeriesCdfResult(value=total, valid=valid)
 
 
-def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
+def equicorr_cdf_exact(
+    x: float | Sequence[float], rho: float, N: int
+) -> float | tuple[float, ...]:
     """Exact equi-correlated max-gain CDF via the common-factor mixture.
 
     Writing h_n = sqrt(rho) a + sqrt(1-rho) w_n with a, w_n independent
@@ -94,21 +97,25 @@ def equicorr_cdf_exact(x: float, rho: float, N: int) -> float:
         F(x) = E_t [ 1 - Q1( sqrt(2 rho t/(1-rho)), sqrt(2 x/(1-rho)) ) ]^N
 
     with Q1 the Marcum function. The expectation is a 64-point
-    Gauss-Laguerre sum.
+    Gauss-Laguerre sum, added by math.fsum, so a value does not
+    depend on the other x it is computed with.
+
+    x is a number, which gives a float, or a non-empty 1-D sequence,
+    which gives a tuple of floats in the same order. Every x shares one
+    marcum_q1 call over the 64 nodes; x = 0 gives 0.
     """
-    x, rho, N = real(x, "x", 0.0), real(rho, "rho", 0.0, 1.0), whole(N, "N")
-    if x == 0.0:
-        return 0.0
+    xs = reals(x, "x", 0.0)
+    rho, N = real(rho, "rho", 0.0, 1.0), whole(N, "N")
     if rho < 1e-14:
-        return (-math.expm1(-x)) ** N
-    rule = gauss_laguerre(_QUAD_POINTS)
-    b = math.sqrt(2.0 * x / (1.0 - rho))
-    scale = 2.0 * rho / (1.0 - rho)
-    acc = 0.0
-    for t, w in zip(rule.nodes, rule.weights):
-        a = math.sqrt(scale * t)
-        acc += w * (1.0 - marcum_q1(a, b)) ** N
-    return min(1.0, max(0.0, acc))
+        cdf = [(-math.expm1(-v)) ** N for v in xs.tolist()]
+    else:
+        rule = gauss_laguerre(_QUAD_POINTS)
+        a = np.sqrt(2.0 * rho / (1.0 - rho) * rule.nodes)
+        b = np.sqrt(2.0 * xs / (1.0 - rho))
+        # b = 0 gives Q1 = 1, so x = 0 sums to exactly 0
+        terms = rule.weights[:, None] * (1.0 - marcum_q1(a, b)) ** N
+        cdf = [min(1.0, max(0.0, math.fsum(col))) for col in terms.T.tolist()]
+    return cdf[0] if np.ndim(x) == 0 else tuple(cdf)
 
 
 def rho_extremes(R: np.ndarray) -> CorrelationExtremes:
@@ -121,7 +128,9 @@ def rho_extremes(R: np.ndarray) -> CorrelationExtremes:
     return CorrelationExtremes(rho_min=float(off.min()), rho_max=float(off.max()))
 
 
-def slepian_sandwich(R: np.ndarray, x: float) -> tuple[float, float]:
+def slepian_sandwich(
+    R: np.ndarray, x: float | Sequence[float]
+) -> tuple[float, float] | tuple[tuple[float, float], ...]:
     """Two-sided outage comparison from the equi-correlated extremes.
 
     Stronger equal correlation concentrates the field and raises the
@@ -138,13 +147,16 @@ def slepian_sandwich(R: np.ndarray, x: float) -> tuple[float, float]:
     acceptance check; the upper side fails at Jakes, N = 10, W = 2,
     x = 0.5: 0.0028654 against Monte Carlo 0.0029214 +- 7.0e-6.
 
-    Returns (lower, upper).
+    A number x gives (lower, upper). A non-empty 1-D sequence gives a
+    tuple of (lower, upper) pairs in the same order, from one
+    equicorr_cdf_exact call per side.
     """
+    reals(x, "x", 0.0)
     ext = rho_extremes(R)
     n = len(R)
     lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n)
     upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n)
-    return lower, upper
+    return (lower, upper) if np.ndim(x) == 0 else tuple(zip(lower, upper))
 
 
 def _partition_indices(n: int, B: int) -> list[tuple[int, int]]:

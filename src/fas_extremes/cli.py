@@ -216,13 +216,14 @@ def _run_outage_snr(args):
     R = {m: _matrix(m, args.N, args.W) for m in MODELS if args.model in (m, "both")}
     spec = eigendecompose(R[analytic_model])
     mc = {m: _mc(R_m, args.xs, args.cfg) for m, R_m in R.items()}
+    sandwich = slepian_sandwich(R[analytic_model], args.xs)
     rows = []
     for i, (snr, x) in enumerate(zip(args.snr_db, args.xs)):
         ests = {m: mc[m][i] if m in mc else None for m in MODELS}
         row = _mc_cells({"snr_db": snr, "x": x}, ests)
         row["rank1"] = outage_rank1(spec, x)
         row["rank2"] = outage_rank2(spec, x)
-        row["slepian_lo"], row["slepian_hi"] = slepian_sandwich(R[analytic_model], x)
+        row["slepian_lo"], row["slepian_hi"] = sandwich[i]
         cont = outage_continuous(x, args.W)
         row["continuum"] = cont.value
         row["continuum_clamped"] = cont.clamped

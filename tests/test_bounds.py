@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fas_extremes import bounds
 from fas_extremes.bounds import (
     _partition_indices,
     block_refined_bound,
@@ -227,3 +228,58 @@ class TestBlockRefinedBound:
         for B in (2.5, math.nan, math.inf):  # never truncated to a count
             with pytest.raises(DomainError):
                 block_refined_bound(gauss_matrix_20_1, 1.0, B)
+
+
+# a sweep with x = 0 entries, repeats and the CLI's default SNR span
+SWEEP = (0.0, 10.0, 0.5, 10**-1.5, 0.5, 0.0, 1e-2, 3.1622776601683795)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("rho", [0.0, 1e-15, 0.3, 0.9, 0.973])
+    @pytest.mark.parametrize("N", [1, 20])
+    def test_equicorr_sweep_equals_scalar_calls(self, rho, N):
+        sweep = equicorr_cdf_exact(list(SWEEP), rho, N)
+        assert isinstance(sweep, tuple) and len(sweep) == len(SWEEP)
+        for x, value in zip(SWEEP, sweep):
+            assert type(value) is float
+            assert value == pytest.approx(equicorr_cdf_exact(x, rho, N), rel=1e-15, abs=0.0)
+        assert sweep[0] == sweep[5] == 0.0
+        assert sweep[2] == sweep[4]
+
+    def test_equicorr_sweep_at_the_clamped_correlation(self):
+        # rho = 1 - 1e-12, slepian_sandwich's clamp: x = 0 gives 0, and any
+        # x > 0 needs a Poisson window past the cap, in a sweep as alone
+        rho = 1.0 - 1e-12
+        assert equicorr_cdf_exact((0.0, 0.0), rho, 5) == (0.0, 0.0) == (
+            equicorr_cdf_exact(0.0, rho, 5),) * 2
+        for x in (1e-12, [0.0, 1e-12], [1.0, 0.0]):
+            with pytest.raises(DomainError):
+                equicorr_cdf_exact(x, rho, 5)
+
+    @pytest.mark.parametrize("model", list(CorrelationModel))
+    def test_sandwich_sweep_equals_scalar_calls(self, model):
+        R = correlation_matrix(ApertureConfig(W=2.0, N=10, model=model))
+        sweep = slepian_sandwich(R, np.array(SWEEP))
+        assert len(sweep) == len(SWEEP)
+        for x, pair in zip(SWEEP, sweep):
+            for got, want in zip(pair, slepian_sandwich(R, x)):
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_sandwich_sweep_keeps_the_frozen_pair(self, gauss_matrix_20_1):
+        pairs = slepian_sandwich(gauss_matrix_20_1, [10**0.5, 0.1])
+        assert pairs[0][0] == pytest.approx(0.42104134116976183, rel=1e-9)
+        assert pairs[0][1] == pytest.approx(0.91833238559186026, rel=1e-9)
+        assert pairs[1][1] == pytest.approx(0.0043694501204961742, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [[], np.zeros((0,)), [[0.5, 1.0]], np.ones((2, 2)), [0.5, -1.0],
+                                     [0.5, math.nan]])
+    def test_bad_sweep_rejected_before_any_work(self, bad, gauss_matrix_20_1, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("reached the computation")
+
+        for name in ("marcum_q1", "gauss_laguerre", "rho_extremes"):
+            monkeypatch.setattr(bounds, name, no_work)
+        with pytest.raises(DomainError):
+            equicorr_cdf_exact(bad, 0.5, 4)
+        with pytest.raises(DomainError):
+            slepian_sandwich(gauss_matrix_20_1, bad)

@@ -20,7 +20,10 @@ import numpy as np
 import pytest
 
 import fas_extremes
+from fas_extremes.bounds import slepian_sandwich
 from fas_extremes.cli import DEFAULT_WORKERS, EXPERIMENTS, _join_valued_flags, main
+from fas_extremes.fieldmodel import ApertureConfig, correlation_matrix
+from fas_extremes.kernels import CorrelationModel
 
 
 # the experiment flags each experiment reads: 32 of the 70 pairs
@@ -430,3 +433,38 @@ def test_kl_ladder_does_not_depend_on_blas_threads(tmp_path):
         assert len(rows) == 30
         sampled.append([{k: v for k, v in row.items() if not k.startswith("eps_")} for row in rows])
     assert sampled[0] == sampled[1]
+
+
+def test_outage_snr_sandwich_cells_equal_scalar_calls(tmp_path):
+    # one sandwich call per field covers every row, repeats included
+    rc, out = run(tmp_path, "outage-snr", "--model", "jakes", "--N", "10", "--W", "2",
+                  "--snr-db", "5,-5,5,0", "--trials", "200", "--seed", "1")
+    assert rc == 0
+    R = correlation_matrix(ApertureConfig(W=2.0, N=10, model=CorrelationModel.JAKES))
+    rows = data_rows(out)
+    assert [r["snr_db"] for r in rows] == ["5", "-5", "5", "0"]
+    for row in rows:
+        lo, hi = slepian_sandwich(R, float(row["x"]))
+        assert (float(row["slepian_lo"]), float(row["slepian_hi"])) == (lo, hi)
+
+
+def test_sandwich_cells_do_not_depend_on_blas_threads(tmp_path):
+    # the Marcum rows are reduced by NumPy sums, never BLAS; rank1 and
+    # rank2 go through LAPACK's eigh, so only the slepian_* cells are compared
+    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
+    cells = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / f"threads{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "fas_extremes.cli", "outage-snr", "--model", "both", "--N", "20",
+             "--W", "1", "--trials", "2000", "--seed", "42", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = data_rows(out)
+        assert len(rows) == 31
+        cells.append([(row["slepian_lo"], row["slepian_hi"]) for row in rows])
+    assert cells[0] == cells[1]

@@ -117,6 +117,82 @@ class TestMarcumQ1:
         assert 0.0 <= marcum_q1(a, b) <= 1.0
 
 
+# equicorr_cdf_exact's own node grid: per rho, a over the 64 Laguerre
+# nodes and b over 7 values of x in 10^[-2, 1]
+GRID_RHOS = (0.3, 0.57, 0.9, 0.973, 0.999)
+
+
+def equicorr_grid(rho):
+    t = gauss_laguerre(64).nodes
+    x = np.logspace(-2.0, 1.0, 7)
+    return np.sqrt(2.0 * rho / (1.0 - rho) * t), np.sqrt(2.0 * x / (1.0 - rho))
+
+
+class TestMarcumQ1Grid:
+    @pytest.mark.parametrize("rho", GRID_RHOS)
+    def test_grid_matches_scalar_calls(self, rho):
+        a, b = equicorr_grid(rho)
+        q = marcum_q1(a, b)
+        assert q.shape == (a.size, b.size)
+        loop = np.array([[marcum_q1(float(ai), float(bj)) for bj in b] for ai in a])
+        assert np.abs(q - loop).max() <= 1e-15
+
+    @pytest.mark.parametrize("rho", GRID_RHOS)
+    def test_grid_against_noncentral_chisq(self, rho):
+        # the docstring's error: below 9e-12 up to rho = 0.973, growing to
+        # 6.1e-10 (measured 6.13e-10) at rho = 0.999
+        a, b = equicorr_grid(rho)
+        ref = stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
+        assert np.abs(marcum_q1(a, b) - ref).max() < (9e-12 if rho <= 0.973 else 6.5e-10)
+
+    def test_unsorted_and_repeated_arguments_keep_input_order(self):
+        a, b = equicorr_grid(0.9)
+        q = marcum_q1(a, b)
+        ia = np.array([40, 3, 63, 3, 0, 40, 17])
+        jb = np.array([6, 2, 2, 0, 5])
+        assert np.array_equal(marcum_q1(a[ia], b[jb]), q[np.ix_(ia, jb)])
+
+    def test_column_needs_no_other_column(self):
+        # each b's values are the same sums in any grid of the same a
+        a, b = equicorr_grid(0.973)
+        q = marcum_q1(a, b)
+        for j, bj in enumerate(b):
+            assert np.array_equal(marcum_q1(a, float(bj)), q[:, j])
+
+    def test_window_past_the_other_is_exact_zero(self):
+        # b = 40: Y's window starts at k = 486, past a = 1's last k, 43,
+        # as marcum_q1(1.0, 1e5) is 0 with no window built
+        q = marcum_q1([1.0, 40.0, 1.0], [40.0, 1e5, 1.0])
+        assert q[0, 0] == 0.0 and q[2, 0] == 0.0
+        assert 0.0 < q[1, 0] < 1.0
+        assert q[0, 1] == 0.0 and q[1, 1] == 0.0
+        assert q[0, 2] == marcum_q1(1.0, 1.0)
+
+    def test_window_cap_inside_an_array(self):
+        # a^2/2 = 5e9 overlaps b = 1's window, as the scalar call does
+        with pytest.raises(DomainError):
+            marcum_q1([1.0, 2.0, 1e5], [0.5, 1.0])
+        with pytest.raises(DomainError):
+            marcum_q1(1e5, [0.0, 1.0])
+        # where the scalar calls build no window, neither does the grid
+        assert np.array_equal(marcum_q1([1.0, 1e5], [0.0, 1e9]), [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_scalar_arguments_drop_their_axis(self):
+        v = marcum_q1(1.0, 1.0)
+        assert type(v) is float
+        assert marcum_q1(1.0, [1.0, 2.0]).shape == (2,)
+        assert marcum_q1(np.array([1.0, 2.0, 3.0]), 1.0).shape == (3,)
+        assert marcum_q1([1.0], [1.0]).shape == (1, 1)
+        assert marcum_q1(np.float64(1.0), 1.0) == v
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, -0.5], [1.0, math.nan], math.inf])
+    def test_rejects_bad_arrays(self, bad):
+        with pytest.raises(DomainError):
+            marcum_q1(bad, 1.0)
+        with pytest.raises(DomainError):
+            marcum_q1(1.0, bad)
+
+
 SQRT_PI = math.sqrt(math.pi)
 
 
