@@ -149,13 +149,22 @@ def slepian_sandwich(
 
     A number x gives (lower, upper). A non-empty 1-D sequence gives a
     tuple of (lower, upper) pairs in the same order, from one
-    equicorr_cdf_exact call per side.
+    equicorr_cdf_exact call per side. A rho_max too close to 1 for the
+    equi-correlated CDF's Marcum windows raises DomainError naming it.
     """
     reals(x, "x", 0.0)
     ext = rho_extremes(R)
     n = len(R)
-    lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n)
-    upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n)
+    try:
+        lower = equicorr_cdf_exact(x, min(ext.rho_min, 1.0 - 1e-12), n)
+        upper = equicorr_cdf_exact(x, min(ext.rho_max, 1.0 - 1e-12), n)
+    except DomainError as exc:
+        # x, rho and N are checked, so only a Marcum window can fail, and
+        # the windows widen with rho: rho_max is always out of reach
+        raise DomainError(
+            f"slepian_sandwich: the equi-correlated CDF cannot resolve the field's "
+            f"rho_max = {ext.rho_max!r} over N = {n} ports ({exc})"
+        ) from exc
     return (lower, upper) if np.ndim(x) == 0 else tuple(zip(lower, upper))
 
 

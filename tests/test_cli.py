@@ -114,6 +114,16 @@ class TestExitCodes:
             assert not out.exists()
             assert not list(tmp_path.iterdir())
 
+    def test_unresolvable_rho_max_is_named(self, tmp_path, capsys):
+        # adjacent ports 5e-5 apart put rho_max within 1e-7 of 1, past
+        # the Marcum windows of the equi-correlated CDF
+        out = tmp_path / "bad.csv"
+        argv = ["outage-snr", "--model", "gauss", "--N", "1000", "--W", "0.05",
+                "--snr-db", "0", "--trials", "100", "--out", str(out)]
+        assert main(argv) == 1
+        assert "rho_max" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["kl-convergence", "slepian-blocks"])
     def test_bad_port_count_is_named(self, tmp_path, capsys, experiment):
         # the port count, not the --K or --blocks range it would set

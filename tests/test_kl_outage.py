@@ -15,6 +15,7 @@ import pytest
 
 from fas_extremes.fieldmodel import (
     ApertureConfig,
+    EigenSpectrum,
     correlation_matrix,
     eigendecompose,
     kl_truncate,
@@ -102,6 +103,85 @@ def _rank2_full_grid(spec, x):
             dens = np.exp(-np.abs(pts) ** 2) / math.pi
             mass = float((r0 * r0) * ((dens * inside) * cell_area_factor).sum())
             total += w[i] * w[j] * mass
+
+    return min(1.0, max(0.0, total / math.pi))
+
+
+def _rank2_per_cell(spec, x, counts):
+    """outage_rank2 by one disk test per polar cell, on the same orbit sum.
+
+    The bit-exact reference for outage_rank2's ray intervals. counts
+    gains, per key, how often the branch is taken:
+    "ray_miss", the line through the smallest disk's center along a
+    cell ray misses a partial disk; "empty", a node that reaches the
+    grid has no cell inside every disk; "degenerate", a node is checked
+    against a port with |b_n| ~ 0; "accept", the quick accept.
+    """
+    s1, s2 = map(math.sqrt, spec.eigenvalues[:2])
+    u1 = spec.eigenvectors[:, 0]
+    u2 = spec.eigenvectors[:, 1]
+    b = s2 * u2  # real coefficients of the second mode
+    degenerate = np.abs(b) < 1e-12
+    live = ~degenerate
+
+    rule = gauss_hermite(_QUAD_ORDER)
+    half = _QUAD_ORDER // 2
+    t, w = rule.nodes[half:], rule.weights[half:]
+    sqrt_x = math.sqrt(x)
+
+    nr = ntheta = 200
+    r_edges = np.linspace(0.0, 1.0, nr + 1)
+    r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
+    dr = r_edges[1] - r_edges[0]
+    th_mid = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
+    dth = 2.0 * math.pi / ntheta
+    cell_xy = r_mid[:, None] * np.exp(1j * th_mid[None, :])  # nr x ntheta
+    cell_area_factor = (r_mid * dr * dth)[:, None]  # r dr dtheta
+    ray = np.exp(1j * th_mid)
+
+    total = 0.0
+    for i in range(half):
+        for j in range(i + 1):
+            weight = (4.0 if i == j else 8.0) * w[i] * w[j]
+            a = s1 * u1 * complex(t[i], t[j])  # complex array over ports
+
+            if degenerate.any():
+                counts["degenerate"] += 1
+                if np.any(np.abs(a[degenerate]) ** 2 > x):
+                    continue  # some z2-independent port already exceeds x
+            if not live.any():
+                total += weight  # all constraints satisfied regardless of z2
+                continue
+
+            centers = -a[live] / b[live]
+            radii = sqrt_x / np.abs(b[live])
+            k = int(np.argmin(radii))
+            c0, r0 = centers[k], radii[k]
+
+            # quick reject: another disk entirely missing the smallest one
+            dists = np.abs(centers - c0)
+            if np.any(dists >= radii + r0):
+                continue
+
+            # quick accept: every disk covers the radius-6 disk about 0,
+            # which holds all but e^-36 of z2's mass
+            if np.all(np.abs(centers) + 6.0 <= radii):
+                counts["accept"] += 1
+                total += weight
+                continue
+
+            pts = c0 + r0 * cell_xy
+            inside = np.ones(pts.shape, dtype=bool)
+            partial = dists + r0 > radii
+            for cn, rn in zip(centers[partial], radii[partial]):
+                inside &= np.abs(pts - cn) <= rn
+                counts["ray_miss"] += int(np.sum(np.abs(((cn - c0) / ray).imag) > rn))
+            if not inside.any():
+                counts["empty"] += 1
+                continue
+            dens = np.exp(-np.abs(pts) ** 2) / math.pi
+            mass = float((r0 * r0) * ((dens * inside) * cell_area_factor).sum())
+            total += weight * mass
 
     return min(1.0, max(0.0, total / math.pi))
 
@@ -194,6 +274,26 @@ class TestRank2:
             expect = _rank2_full_grid(spec, x)
             assert outage_rank2(spec, x) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    def test_rays_match_per_cell_disk_tests(self):
+        # Gauss N = 21 has a degenerate middle port (|b_n| < 1e-12); the
+        # low SNRs reach the quick accept, and the counts show that the
+        # grid reaches every branch of the ray intervals
+        specs = [
+            eigendecompose(correlation_matrix(ApertureConfig(W=W, N=N, model=model)))
+            for model in CorrelationModel
+            for N, W in ((8, 0.5), (10, 2.0), (20, 1.0), (21, 1.0), (20, 3.0), (64, 1.0))
+        ]
+        # a second mode without energy leaves no port depending on z2
+        lead = specs[0]
+        specs.append(EigenSpectrum(np.array([lead.eigenvalues[0], 0.0]), lead.eigenvectors[:, :2]))
+        counts = dict.fromkeys(("ray_miss", "empty", "degenerate", "accept"), 0)
+        for spec in specs:
+            for snr_db in np.arange(-20.0, 20.1, 2.5):
+                x = ThresholdSpec(avg_snr_db=snr_db, threshold_db=0.0).x
+                expect = _rank2_per_cell(spec, x, counts).hex()
+                assert outage_rank2(spec, x).hex() == expect, (spec.eigenvalues[:2], snr_db)
+        assert all(counts.values()), counts
+
     def test_warm_scratch_slab_changes_no_bit(self, scratch, gauss_matrix_20_1):
         # the quadrature's cells come from the scratch slab, here one that
         # a larger Monte Carlo call left behind, then filled with NaN
@@ -206,7 +306,7 @@ class TestRank2:
         cfg = McConfig(trials=20_000, seed=1, workers=2)
         simulate_outage_truncated(kl_truncate(spec, 20), 1.0, cfg)
         (left,) = scratch
-        assert left.size > 7 * 200 * 200  # more than the quadrature needs
+        assert left.size > 4 * 200 * 200  # more than the quadrature's 4 cell planes
         assert [outage_rank2(spec, x).hex() for x in xs] == cold
         for x, expect in zip(xs, cold):
             left.fill(np.nan)
