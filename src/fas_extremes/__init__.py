@@ -8,7 +8,7 @@ seeded Monte Carlo oracle:
   kernels      correlation kernels (Bessel and squared-exponential),
                spectra, the shared second spectral moment
   fieldmodel   correlation matrices on the port grid, eigenstructure,
-               Cholesky sampling factors
+               the pivoted-Cholesky sampling factor
   kl_outage    eigenmode truncations: closed-form rank 1 and
                disk-intersection rank 2 (higher ranks go through the
                truncated Monte Carlo sampler)

@@ -34,11 +34,10 @@ from .continuum import outage_continuous
 from .dof import keff_asymptotic, participation_ratio
 from .fieldmodel import (
     ApertureConfig,
-    cholesky,  # not called here, but perfbench's spans wrap cli.cholesky
+    cholesky,
     correlation_matrix,
     eigendecompose,
     kl_truncate,
-    pivoted_cholesky,
 )
 from .kernels import (
     CorrelationModel,
@@ -138,7 +137,7 @@ def _mc(R: np.ndarray, xs: list[float], cfg: McConfig):
 
     The field is drawn through R's pivoted-Cholesky factor, so a trial
     takes as many latent normals per part as R's numerical rank."""
-    return simulate_outage(pivoted_cholesky(R), xs, cfg)
+    return simulate_outage(cholesky(R), xs, cfg)
 
 
 def _mc_cells(row: dict, ests: dict, prefix: str = "mc", hits: bool = False) -> dict:

@@ -4,17 +4,15 @@ The antenna aperture [0, W] is sampled at N equally spaced ports. The
 port-gain covariance is a symmetric Toeplitz matrix built from one of
 the kernels module's correlation functions. Eigendecomposition is one
 LAPACK call (numpy.linalg.eigh) with a fixed ordering and sign
-convention. Its input must be positive semi-definite up to the
-Cholesky ladder's largest shift. Eigenvalues are reported as
-magnitudes, so tail values below the roundoff floor n eps lambda_max
-are roundoff, not the true (smaller, positive) eigenvalues.
+convention. Its input must be positive semi-definite up to a slack of
+1e-8 (_PSD_SLACK). Eigenvalues are reported as magnitudes, so tail
+values below the roundoff floor n eps lambda_max are roundoff, not the
+true (smaller, positive) eigenvalues.
 
-Two sampling factorizations share one left-looking column update made
-of elementwise products and NumPy's own sums, with no BLAS or LAPACK
-call, so neither factor depends on the BLAS build or thread count:
-cholesky, the full lower-triangular factor with an escalating diagonal
-jitter, and pivoted_cholesky, a low-rank factor that stops at the
-matrix's numerical rank.
+The one sampling factorization, cholesky, is a diagonal-pivoted
+Cholesky that stops at the matrix's numerical rank. It is a loop of
+elementwise products and NumPy's own sums, with no BLAS or LAPACK
+call, so the factor does not depend on the BLAS build or thread count.
 """
 
 from __future__ import annotations
@@ -31,23 +29,25 @@ __all__ = [
     "ApertureConfig",
     "EigenSpectrum",
     "CholeskyFactor",
-    "FactorizationError",
     "correlation_matrix",
     "eigendecompose",
     "cholesky",
-    "pivoted_cholesky",
     "kl_truncate",
 ]
 
-JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+# cholesky stops once no residual diagonal exceeds _PIVOT_STOP. A residual
+# diagonal, or an eigendecompose eigenvalue, down to -_PSD_SLACK is roundoff
+# in a PSD matrix's entries; one further below makes the matrix indefinite.
+_PIVOT_STOP = 1e-12
+_PSD_SLACK = 1e-8
+# cholesky adds no diagonal shift, so 0.0 is every CholeskyFactor.jitter;
+# perfbench/spans.py counts a factorization's attempts from it, as
+# JITTER_LADDER.index(jitter) + 1
+JITTER_LADDER = (0.0,)
 # eigendecompose makes each eigenvector's first entry of at least this
 # fraction of its largest magnitude positive: far above roundoff, so no
 # near-zero entry's sign decides, and far below any entry that matters
 _SIGN_FLOOR = 1e-3
-
-
-class FactorizationError(ArithmeticError):
-    """Matrix stayed non-positive-definite through the whole jitter ladder."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,12 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """An N x r map L with L L^T = R + jitter I, up to roundoff.
+    """An N x r map L with L L^T = R, up to roundoff and cholesky's stop.
 
-    jitter is the diagonal shift that made the factorization succeed;
-    zero for cleanly positive-definite input. lower is a finite 2-D
-    array with at least one row and one column, and jitter a finite
-    number >= 0."""
+    lower is a finite 2-D array with at least one row and one column.
+    jitter, a finite number >= 0, is a diagonal shift added to R before
+    factoring. cholesky adds none, so it is 0.0 there; the field stays
+    because perfbench/spans.py reads it (see JITTER_LADDER)."""
 
     lower: np.ndarray
     jitter: float = 0.0
@@ -142,8 +142,8 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     float Jakes N = 20, W = 3 matrix's smallest eigvalsh eigenvalue is
     -1.4e-16, and -2.3e-16 with its lags from mpmath). So the guard
     allows what the Cholesky sampler allows: an eigenvalue below
-    -JITTER_LADDER[-1] (or below the solver's roundoff floor
-    n eps max|lambda|, if that is larger) raises DomainError. The rest
+    -_PSD_SLACK (or below the solver's roundoff floor n eps
+    max|lambda|, if that is larger) raises DomainError. The rest
     are reported as |lambda|, the matrix's singular values. Those keep
     the solver's Weyl bound of n eps max|lambda| and sit no farther
     from the eigenvalues of any PSD matrix than lambda does. Tail
@@ -164,7 +164,7 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     n = m.shape[0]
     vals, vecs = np.linalg.eigh(m)
     roundoff = n * np.finfo(float).eps * float(np.abs(vals).max())
-    tol = max(JITTER_LADDER[-1], roundoff)
+    tol = max(_PSD_SLACK, roundoff)
     if vals[0] < -tol:
         raise DomainError(
             f"matrix is not positive semi-definite: eigenvalue {vals[0]:.3e} below -{tol:.3e}"
@@ -180,66 +180,29 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _column(col: np.ndarray, rows: np.ndarray, pivot_row: np.ndarray, root: float) -> np.ndarray:
-    """One left-looking Cholesky column: (col - rows . pivot_row) / root.
-
-    rows holds the factor's earlier columns at the rows being computed,
-    pivot_row the same columns at the pivot. The dot products are an
-    elementwise product and a NumPy sum along each row, not a BLAS call.
-    """
-    return (col - (rows * pivot_row).sum(axis=1)) / root
-
-
 def cholesky(R: np.ndarray) -> CholeskyFactor:
-    """Lower-triangular factor of R, with an escalating diagonal jitter.
-
-    Correlation matrices from the Bessel kernel go numerically
-    rank-deficient at large N; each failed attempt retries with the next
-    shift from JITTER_LADDER. The applied shift is reported so callers
-    can surface it in metadata. Each attempt is a left-looking loop over
-    the columns (_column), so the factor is the same at every BLAS
-    thread count; an attempt fails at the first pivot that is not
-    positive.
-    """
-    m = symmetric(R, "cholesky R")
-    n = m.shape[0]
-    for jit in JITTER_LADDER:
-        lower = np.zeros((n, n))
-        for j in range(n):
-            s = m[j, j] + jit - np.square(lower[j, :j]).sum()
-            if not s > 0.0:
-                break
-            lower[j, j] = root = math.sqrt(s)
-            lower[j + 1 :, j] = _column(m[j + 1 :, j], lower[j + 1 :, :j], lower[j, :j], root)
-        else:
-            return CholeskyFactor(lower=lower, jitter=jit)
-    raise FactorizationError(
-        f"matrix not positive definite even with diagonal jitter {JITTER_LADDER[-1]:g}"
-    )
-
-
-def pivoted_cholesky(R: np.ndarray) -> CholeskyFactor:
-    """Low-rank factor F (N x r) with F F^T = R up to about JITTER_LADDER[1].
+    """Low-rank factor F (N x r) with F F^T = R up to about _PIVOT_STOP.
 
     Diagonal-pivoted Cholesky (Harbrecht, Peters & Schneider, Appl.
     Numer. Math. 62, 2012): each step takes the port with the largest
-    residual diagonal as the pivot and adds its column (_column), until
-    no residual diagonal exceeds JITTER_LADDER[1] = 1e-12, no more than
-    the shift cholesky's ladder adds to a rank-deficient matrix. The
-    rank r is the number of steps; a smooth field over a short aperture
-    needs far fewer than N (17 of 200 ports for the Gaussian kernel at
-    W = 1). F is lower-trapezoidal only in pivot order: row p_k of the
-    k-th pivot is zero past column k. No jitter is added, so jitter is
-    0.0.
+    residual diagonal as the pivot and adds its left-looking column,
+    until no residual diagonal exceeds _PIVOT_STOP = 1e-12. The rank r
+    is the number of steps; a smooth field over a short aperture needs
+    far fewer than N (17 of 200 ports for the Gaussian kernel at W = 1),
+    so a rank-deficient matrix needs no diagonal shift, and jitter is
+    0.0. F is lower-trapezoidal only in pivot order: row p_k of the k-th
+    pivot is zero past column k. A column's dot products are an
+    elementwise product and a NumPy sum along each row, not a BLAS
+    call, so F is the same at every BLAS thread count.
 
-    A residual diagonal below -JITTER_LADDER[-1], the tolerance
-    eigendecompose allows, means R is indefinite beyond roundoff and
-    raises DomainError. Smaller negative residuals are roundoff in R's
-    entries or in the updates, and are left out of F with the rest. A
-    matrix with no diagonal entry above the stop has no field to sample
-    and raises DomainError too.
+    A residual diagonal below -_PSD_SLACK, the tolerance eigendecompose
+    allows, means R is indefinite beyond roundoff and raises
+    DomainError. Smaller negative residuals are roundoff in R's entries
+    or in the updates, and are left out of F with the rest. A matrix
+    with no diagonal entry above the stop has no field to sample and
+    raises DomainError too.
     """
-    m = symmetric(R, "pivoted_cholesky R")
+    m = symmetric(R, "cholesky R")
     n = m.shape[0]
     lower = np.zeros((n, n))
     resid = m.diagonal().copy()
@@ -248,22 +211,22 @@ def pivoted_cholesky(R: np.ndarray) -> CholeskyFactor:
     while rest.size:
         at = int(np.argmax(resid[rest]))
         p = rest[at]
-        if resid[p] <= JITTER_LADDER[1]:
+        if resid[p] <= _PIVOT_STOP:
             break
         rest = np.delete(rest, at)
         lower[p, rank] = root = math.sqrt(resid[p])
-        col = _column(m[rest, p], lower[rest, :rank], lower[p, :rank], root)
+        col = (m[rest, p] - (lower[rest, :rank] * lower[p, :rank]).sum(axis=1)) / root
         lower[rest, rank] = col
         resid[rest] -= np.square(col)
         rank += 1
-    if rest.size and resid[rest].min() < -JITTER_LADDER[-1]:
+    if rest.size and resid[rest].min() < -_PSD_SLACK:
         raise DomainError(
             f"matrix is not positive semi-definite: residual diagonal"
-            f" {resid[rest].min():.3e} below -{JITTER_LADDER[-1]:.3e}"
+            f" {resid[rest].min():.3e} below -{_PSD_SLACK:.3e}"
         )
     if rank == 0:
         raise DomainError(
-            f"matrix has no diagonal entry above {JITTER_LADDER[1]:g}, so no field to sample"
+            f"matrix has no diagonal entry above {_PIVOT_STOP:g}, so no field to sample"
         )
     return CholeskyFactor(lower=lower[:, :rank].copy())
 

@@ -1,18 +1,17 @@
 """Seeded Monte Carlo oracle for the correlated-aperture outage model.
 
 Port gains are drawn as g = L z, with L an N x r factor of the
-correlation matrix (L L^T = R, up to a shift of at most 1e-8) and z a
-standard complex normal vector of r entries; real and imaginary parts
-are N(0, 1/2) each so every |g_n|^2 is exactly unit-mean exponential.
-simulate_outage factors a bare matrix with the full, jittered Cholesky
-factor (r = N), which the oracle fixture pins; a caller may pass any
-CholeskyFactor instead, such as fieldmodel.pivoted_cholesky's low-rank
-one, whose r is the matrix's numerical rank and which the CLI samples
-through. Streams are keyed by (seed, worker) through the Philox
-counter-based generator: worker w owns a fixed divmod slice of the
-trial budget and draws from Philox(seed).jumped(w), so any (seed,
-workers, trials) triple reproduces bit-for-bit. The knob partitions the
-stream; it does not set a thread count.
+correlation matrix (L L^T = R, up to roundoff and a residual of about
+1e-12) and z a standard complex normal vector of r entries; real and
+imaginary parts are N(0, 1/2) each so every |g_n|^2 is unit-mean
+exponential. simulate_outage factors a bare matrix with
+fieldmodel.cholesky, whose r is the matrix's numerical rank, as the
+CLI does; a caller may pass any CholeskyFactor instead. Streams are
+keyed by (seed, worker) through the Philox counter-based generator:
+worker w owns a fixed divmod slice of the trial budget and draws from
+Philox(seed).jumped(w), so any (seed, workers, trials) triple
+reproduces bit-for-bit. The knob partitions the stream; it does not
+set a thread count.
 
 One private loop (_sample) serves every estimator. Each worker draws
 its slice in latent blocks, a real-part block and then an imaginary-part
@@ -107,10 +106,10 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     """Sums over all trials of reduce(gains) under each map, nout Python ints per map.
 
     Each map takes the latent standard-normal coordinates to the same
-    ports (a Cholesky factor, full or pivoted, for the full model,
-    U_K sqrt(L_K) for truncated). The maps share one draw: map j reads
-    the first maps[j].shape[1] latent columns of each trial, so the
-    nested truncations K = 1..k of one spectrum are counted on common
+    ports (a Cholesky factor for the full model, U_K sqrt(L_K) for
+    truncated). The maps share one draw: map j reads the first
+    maps[j].shape[1] latent columns of each trial, so the nested
+    truncations K = 1..k of one spectrum are counted on common
     random numbers, and a map as wide as the widest sees exactly the
     draws a call with it alone would. reduce takes a tile of squared
     port gains, rows are trials, and returns nout integers; the tile is
@@ -204,8 +203,8 @@ def simulate_outage(
 
     A number x gives one OutageEstimate; a sequence gives a tuple of
     estimates in the same order, all counted from one set of draws.
-    A bare matrix R is sampled through its full cholesky factor; a
-    CholeskyFactor, full or pivoted, is sampled as given.
+    A bare matrix R is sampled through its pivoted cholesky factor, of
+    R's numerical rank; a CholeskyFactor is sampled as given.
     """
     factor = R if isinstance(R, CholeskyFactor) else cholesky(R)
     return _outage([factor.lower], x, cfg)[0]

@@ -1,5 +1,5 @@
-"""Aperture config, correlation matrices, eigensolver, the full and the
-pivoted Cholesky factors, KL truncation.
+"""Aperture config, correlation matrices, eigensolver, the pivoted
+Cholesky factor, KL truncation.
 
 The eigensolver is checked against raw numpy.linalg.eigh across the
 configuration grid the experiments use, and against a 50-digit mpmath
@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from fas_extremes.fieldmodel import (
+    _PSD_SLACK,
     JITTER_LADDER,
     ApertureConfig,
     EigenSpectrum,
-    FactorizationError,
     cholesky,
     correlation_matrix,
     eigendecompose,
     kl_truncate,
-    pivoted_cholesky,
 )
 from fas_extremes.kernels import CorrelationModel, correlation
 from fas_extremes.montecarlo import McConfig, simulate_outage
@@ -198,6 +197,8 @@ def _nan_at(entry):
 
 
 class TestCholesky:
+    """fieldmodel.cholesky, the one sampling factor: what it returns and rejects."""
+
     def test_identity_needs_no_jitter(self):
         factor = cholesky(np.eye(4))
         assert factor.jitter == 0.0
@@ -206,19 +207,12 @@ class TestCholesky:
     def test_reconstructs_input(self):
         R = correlation_matrix(ApertureConfig(W=1.0, N=10, model=CorrelationModel.GAUSSIAN))
         f = cholesky(R)
-        assert np.max(np.abs(f.lower @ f.lower.T - (R + f.jitter * np.eye(10)))) < 1e-12
-
-    def test_jitter_ladder_on_rank_deficient_kernel(self):
-        # a 100-port Jakes grid is numerically singular; the ladder must
-        # find a small diagonal bump rather than fail
-        R = correlation_matrix(ApertureConfig(W=1.0, N=100, model=CorrelationModel.JAKES))
-        f = cholesky(R)
-        assert f.jitter == 1e-12
-        assert np.all(np.isfinite(f.lower))
+        assert f.jitter == 0.0
+        assert np.max(np.abs(f.lower @ f.lower.T - R)) < 1e-12
 
     def test_indefinite_matrix_rejected(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
-        with pytest.raises(FactorizationError):
+        with pytest.raises(DomainError):
             cholesky(m)
 
     @pytest.mark.parametrize(
@@ -234,8 +228,9 @@ class TestCholesky:
         ids=["off-diagonal", "diagonal", "1-D", "non-square", "asymmetric", "empty"],
     )
     def test_non_finite_matrix_rejected(self, m):
-        # LAPACK returns a NaN factor here, which samples as zero outage;
-        # it broadcasts a 1-D input and reads only the lower triangle
+        # a NaN entry would give a NaN factor, which samples as zero
+        # outage; a 1-D input must not broadcast, nor an asymmetric one
+        # be read by one triangle
         with pytest.raises(DomainError):
             cholesky(m)
         with pytest.raises(DomainError):
@@ -244,31 +239,42 @@ class TestCholesky:
     def test_ladder_shape(self):
         assert JITTER_LADDER[0] == 0.0
         assert list(JITTER_LADDER) == sorted(JITTER_LADDER)
+        # perfbench/spans.py counts attempts as JITTER_LADDER.index(jitter) + 1
+        assert JITTER_LADDER.index(cholesky(np.eye(3)).jitter) == 0
 
     @pytest.mark.parametrize(
         "N,W,model", GRID + [(200, W, m) for W in (1.0, 5.0) for m in CorrelationModel]
     )
     def test_product_within_n_eps(self, N, W, model):
-        # the backward error of a Cholesky factor of a unit-diagonal matrix
+        # the pivoted factor's backward error on its pivot columns: column
+        # k is R's pivot column less the earlier columns' part, so F F^T
+        # reproduces R there to roundoff. The k-th pivot is the largest
+        # entry of column k (Cauchy-Schwarz on the PSD residual), and its
+        # row is zero past column k.
         R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
-        f = cholesky(R)
-        assert np.allclose(np.triu(f.lower, 1), 0.0, rtol=0.0, atol=0.0)
-        err = np.max(np.abs(f.lower @ f.lower.T - (R + f.jitter * np.eye(N))))
+        F = cholesky(R).lower
+        r = F.shape[1]
+        pivots = F.argmax(axis=0)
+        assert len(set(pivots.tolist())) == r
+        assert all(F[p, k] > 0.0 and not F[p, k + 1 :].any() for k, p in enumerate(pivots))
+        err = np.max(np.abs(F @ F[pivots].T - R[:, pivots]))
         assert err <= N * np.finfo(float).eps
 
 
 def _rank_and_residual(R):
-    F = pivoted_cholesky(R).lower
+    F = cholesky(R).lower
     return F.shape[1], np.max(np.abs(F @ F.T - R))
 
 
 class TestPivotedCholesky:
+    """The same factor's numerical rank and pivot-order structure."""
+
     @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("W", [1.0, 5.0])
     @pytest.mark.parametrize("N", [1, 20, 64, 200, 400])
     def test_reconstructs_input(self, N, W, model):
         R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
-        f = pivoted_cholesky(R)
+        f = cholesky(R)
         assert f.jitter == 0.0
         assert f.lower.shape[0] == N and 1 <= f.lower.shape[1] <= N
         assert _rank_and_residual(R)[1] <= 1.5e-12
@@ -288,7 +294,7 @@ class TestPivotedCholesky:
 
     def test_lower_trapezoidal_in_pivot_order(self):
         R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=CorrelationModel.GAUSSIAN))
-        F = pivoted_cholesky(R).lower
+        F = cholesky(R).lower
         r = F.shape[1]
         last = np.array([np.flatnonzero(row).max() for row in F])
         # one pivot row ends at each column but the last, and has a
@@ -301,10 +307,10 @@ class TestPivotedCholesky:
 
     def test_exact_on_identity_and_all_ones(self):
         for n in (1, 7):
-            f = pivoted_cholesky(np.eye(n))
+            f = cholesky(np.eye(n))
             assert f.lower.shape == (n, n)
             assert np.array_equal(f.lower @ f.lower.T, np.eye(n))
-            f = pivoted_cholesky(np.ones((n, n)))
+            f = cholesky(np.ones((n, n)))
             assert f.lower.shape == (n, 1)
             assert np.array_equal(f.lower @ f.lower.T, np.ones((n, n)))
 
@@ -312,7 +318,7 @@ class TestPivotedCholesky:
         # the largest residual diagonal of [[1, 2], [2, 1]] after one step
         # is -3: stopping there would return a rank-1 factor of nothing
         with pytest.raises(DomainError, match="not positive semi-definite"):
-            pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_roundoff_indefinite_matrix_factors(self):
         # a correlation matrix pushed 1e-13 below zero along the
@@ -320,7 +326,7 @@ class TestPivotedCholesky:
         R = correlation_matrix(ApertureConfig(W=3.0, N=20, model=CorrelationModel.JAKES))
         u = np.linalg.eigh(R)[1][:, 0]
         R = R - 1e-13 * np.outer(u, u)
-        assert -JITTER_LADDER[-1] < np.linalg.eigvalsh(R)[0] < 0.0
+        assert -_PSD_SLACK < np.linalg.eigvalsh(R)[0] < 0.0
         rank, residual = _rank_and_residual(R)
         assert rank < 20 and residual <= 1.5e-12
 
@@ -338,7 +344,7 @@ class TestPivotedCholesky:
     )
     def test_bad_matrix_rejected(self, m):
         with pytest.raises(DomainError):
-            pivoted_cholesky(m)
+            cholesky(m)
 
 
 class TestKlTruncate:

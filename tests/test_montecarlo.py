@@ -18,6 +18,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import full_cholesky
 
 from fas_extremes import cli, montecarlo
 from fas_extremes.fieldmodel import (
@@ -27,7 +28,6 @@ from fas_extremes.fieldmodel import (
     correlation_matrix,
     eigendecompose,
     kl_truncate,
-    pivoted_cholesky,
 )
 from fas_extremes.kernels import CorrelationModel
 from fas_extremes.montecarlo import (
@@ -217,7 +217,7 @@ class TestCliSamplesOncePerField:
             cli, "simulate_outage_ladder", counting("ladder", simulate_outage_ladder)
         )
         monkeypatch.setattr(cli, "correlation_matrix", tally("built", correlation_matrix))
-        monkeypatch.setattr(cli, "pivoted_cholesky", tally("factored", pivoted_cholesky))
+        monkeypatch.setattr(cli, "cholesky", tally("factored", cholesky))
         rc = cli.main(argv + ["--trials", "500", "--workers", "1",
                               "--out", str(tmp_path / "out.csv")])
         assert rc == 0
@@ -405,9 +405,10 @@ class TestDrawAhead:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=CorrelationModel.GAUSSIAN))
         cfg = McConfig(trials=10_000, seed=3, workers=2)
-        mat = cholesky(R).lower
+        mat = full_cholesky(R)
         ref = np.concatenate([c.max(axis=1) for c in _serial_gain_chunks(mat, cfg)])
-        assert simulate_outage(R, 1.0, cfg).hits == int(np.count_nonzero(ref < 1.0))
+        hits = simulate_outage(CholeskyFactor(lower=mat), 1.0, cfg).hits
+        assert hits == int(np.count_nonzero(ref < 1.0))
 
 
 class TestScratchSlab:
@@ -475,7 +476,7 @@ class TestScratchSlab:
         # A slab sized by the rank would be dropped and mapped anew here.
         Rs = [correlation_matrix(ApertureConfig(W=1.0, N=200, model=m))
               for m in (CorrelationModel.JAKES, CorrelationModel.GAUSSIAN)]
-        assert [pivoted_cholesky(R).lower.shape[1] for R in Rs] == [10, 17]
+        assert [cholesky(R).lower.shape[1] for R in Rs] == [10, 17]
         cfg = McConfig(trials=2_000, seed=5, workers=2)
         cli._mc(Rs[0], [1.0], cfg)
         (slab,) = scratch
@@ -512,13 +513,13 @@ def test_repeated_cli_call_takes_few_page_faults(tmp_path):
 
 _BLAS_PROBE = """
 import hashlib, threading
+from conftest import full_cholesky
 from fas_extremes import montecarlo
-from fas_extremes.fieldmodel import (ApertureConfig, cholesky, correlation_matrix,
-                                     pivoted_cholesky)
+from fas_extremes.fieldmodel import ApertureConfig, cholesky, correlation_matrix
 from fas_extremes.kernels import CorrelationModel
 for model in CorrelationModel:
     R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
-    for factor, workers in ((pivoted_cholesky(R), 2), (cholesky(R), 2), (cholesky(R), 8)):
+    for mat, workers in ((cholesky(R).lower, 2), (full_cholesky(R), 2), (full_cholesky(R), 8)):
         digests, threads = [], set()
 
         def keep(gains):
@@ -527,24 +528,25 @@ for model in CorrelationModel:
             return (len(gains),)
 
         cfg = montecarlo.McConfig(trials=10_000 * workers // 2, seed=42, workers=workers)
-        montecarlo._sample([factor.lower], cfg, keep, 1)
+        montecarlo._sample([mat], cfg, keep, 1)
         print(hashlib.sha256("".join(sorted(digests)).encode()).hexdigest(), sorted(threads))
 """
 
 
 def test_draws_do_not_depend_on_blas_threads():
-    # dense-aperture's sampler config through the pivoted factor (ranks 10
-    # and 17), and at full rank with 2 and 8 workers (5000-row blocks),
-    # every tile mapped on the calling thread. BLAS reads its thread
-    # count at load. LAPACK's Cholesky (OpenBLAS 0.3.31 dpotrf) gives
-    # factors up to 1.2e-4 apart at 1 and 2 threads, so the factor must
-    # not call it.
+    # dense-aperture's sampler config through cholesky's pivoted factor
+    # (ranks 10 and 17), and at full rank through the tests' reference
+    # factor with 2 and 8 workers (5000-row blocks), every tile mapped on
+    # the calling thread. BLAS reads its thread count at load. LAPACK's
+    # Cholesky (OpenBLAS 0.3.31 dpotrf) gives factors up to 1.2e-4 apart
+    # at 1 and 2 threads, so neither factor may call it.
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+                   p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -573,9 +575,9 @@ class TestMultiWorkerPins:
     @pytest.mark.parametrize(
         "trials,workers,full,truncated,upcrossings",
         [
-            (7_001, 3, [19, 909, 4605, 6337], [154, 1688, 5410, 6626],
-             (0.8824453649478646, 0.007644438224729878)),
-            (2, 4, [0, 0, 2, 2], [0, 1, 2, 2], (1.5, 0.3535533905932738)),
+            (7_001, 3, [22, 947, 4646, 6334], [154, 1688, 5410, 6626],
+             (0.8731609770032852, 0.007704406210774208)),
+            (2, 4, [0, 1, 2, 2], [0, 1, 2, 2], (0.0, 0.0)),
         ],
         ids=["7001-trials-3-workers", "2-trials-4-workers"],
     )
@@ -601,12 +603,15 @@ class TestMultiWorkerPins:
 class TestPivotedFactor:
     @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
     def test_matches_full_factor(self, model):
-        # dense-aperture's fields: the low-rank draws estimate the same outage
+        # dense-aperture's fields: the low-rank draws estimate the same
+        # outage as the tests' full-rank reference factor
         R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
         cfg = McConfig(trials=200_000, seed=42, workers=2)
         xs = [0.316, 1.0, 3.16]
-        full = simulate_outage(R, xs, cfg)
-        low = simulate_outage(pivoted_cholesky(R), xs, cfg)
+        ref = full_cholesky(R)
+        assert ref.shape[1] == 200 > cholesky(R).lower.shape[1]  # two factors, not one twice
+        full = simulate_outage(CholeskyFactor(lower=ref), xs, cfg)
+        low = simulate_outage(R, xs, cfg)
         for a, b in zip(full, low, strict=True):
             assert 0 < a.hits < a.trials
             assert abs(a.p - b.p) <= 3.0 * math.hypot(a.std_err, b.std_err)
@@ -777,4 +782,21 @@ class TestFixtureRegression:
 
     def test_known_value(self, stored):
         # spot pin so the CSV itself cannot silently regenerate
-        assert float(stored["gauss_n10_w1_x1"]["estimate"]) == 0.119372
+        assert float(stored["gauss_n10_w1_x1"]["estimate"]) == 0.12032
+
+    # The rows as the full N x N factor with a jitter ladder sampled them,
+    # before every bare matrix went through the pivoted factor: same
+    # configs, seed 42, 1 worker, 10^6 trials. (estimate, std_err)
+    FULL_FACTOR_ROWS = {
+        "gauss_n10_w1_x1": (0.119372, 0.000324225732501293),
+        "jakes_n10_w1_x1": (0.14965, 0.00035672801614114918),
+        "gauss_n20_w2_xhalf": (0.000501, 2.2377421634317036e-05),
+        "jakes_n20_w2_xsqrt10": (0.677112, 0.00046758030268179607),
+    }
+
+    def test_agrees_with_full_factor_rows(self, stored):
+        # independent draws of one outage: within 3 combined sigma
+        assert stored.keys() == self.FULL_FACTOR_ROWS.keys()
+        for label, (p_full, se_full) in self.FULL_FACTOR_ROWS.items():
+            p, se = float(stored[label]["estimate"]), float(stored[label]["std_err"])
+            assert abs(p - p_full) <= 3.0 * math.hypot(se, se_full), label
