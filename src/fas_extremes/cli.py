@@ -121,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, help="truncation rank sweep limit")
     p.add_argument("--blocks", type=int)
     p.add_argument("--trials", type=int)
-    # a string default goes through type=int, so a bad FAS_SEED exits 2
-    p.add_argument("--seed", type=int, default=os.environ.get("FAS_SEED") or "42")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     p.add_argument("--out", default=None, help="output CSV path")
     return p

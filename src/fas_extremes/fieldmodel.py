@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CorrelationModel, correlation
-from .specialfn import DomainError, positive, real, symmetric, whole
+from .specialfn import DomainError, positive, reals, symmetric, whole
 
 __all__ = [
     "ApertureConfig",
@@ -40,9 +40,9 @@ __all__ = [
 # in a PSD matrix's entries; one further below makes the matrix indefinite.
 _PIVOT_STOP = 1e-12
 _PSD_SLACK = 1e-8
-# cholesky adds no diagonal shift, so 0.0 is every CholeskyFactor.jitter;
-# perfbench/spans.py counts a factorization's attempts from it, as
-# JITTER_LADDER.index(jitter) + 1
+# cholesky adds no diagonal shift, so CholeskyFactor.jitter is the class
+# constant 0.0; perfbench/spans.py counts a factorization's attempts from
+# it, as JITTER_LADDER.index(jitter) + 1
 JITTER_LADDER = (0.0,)
 # eigendecompose makes each eigenvector's first entry of at least this
 # fraction of its largest magnitude positive: far above roundoff, so no
@@ -82,8 +82,7 @@ class EigenSpectrum:
                 "an EigenSpectrum needs 1-D eigenvalues and one eigenvector column per"
                 f" eigenvalue, at least one of each, got shapes {lams.shape} and {vecs.shape}"
             )
-        for lam in lams.tolist():
-            real(lam, "eigenvalue", 0.0)
+        reals(lams, "eigenvalues", 0.0)
 
     @property
     def rank(self) -> int:
@@ -100,13 +99,13 @@ class EigenSpectrum:
 class CholeskyFactor:
     """An N x r map L with L L^T = R, up to roundoff and cholesky's stop.
 
-    lower is a finite 2-D array with at least one row and one column.
-    jitter, a finite number >= 0, is a diagonal shift added to R before
-    factoring. cholesky adds none, so it is 0.0 there; the field stays
-    because perfbench/spans.py reads it (see JITTER_LADDER)."""
+    lower, the one field, is a finite 2-D array with at least one row
+    and one column. jitter is the class constant 0.0, not a field: no
+    factor shifts R's diagonal, and it stays only because
+    perfbench/spans.py reads it (see JITTER_LADDER)."""
 
     lower: np.ndarray
-    jitter: float = 0.0
+    jitter = 0.0
 
     def __post_init__(self):
         lower = self.lower
@@ -115,7 +114,6 @@ class CholeskyFactor:
                 "a CholeskyFactor's lower must be a finite 2-D array with at least one row"
                 f" and one column, got shape {np.shape(lower)}"
             )
-        real(self.jitter, "jitter", 0.0)
 
 
 def correlation_matrix(config: ApertureConfig) -> np.ndarray:
@@ -189,18 +187,19 @@ def cholesky(R: np.ndarray) -> CholeskyFactor:
     until no residual diagonal exceeds _PIVOT_STOP = 1e-12. The rank r
     is the number of steps; a smooth field over a short aperture needs
     far fewer than N (17 of 200 ports for the Gaussian kernel at W = 1),
-    so a rank-deficient matrix needs no diagonal shift, and jitter is
-    0.0. F is lower-trapezoidal only in pivot order: row p_k of the k-th
-    pivot is zero past column k. A column's dot products are an
-    elementwise product and a NumPy sum along each row, not a BLAS
-    call, so F is the same at every BLAS thread count.
+    so a rank-deficient matrix needs no diagonal shift. F is
+    lower-trapezoidal only in pivot order: row p_k of the k-th pivot is
+    zero past column k. A column's dot products are an elementwise
+    product and a NumPy sum along each row, not a BLAS call, so F is
+    the same at every BLAS thread count.
 
-    A residual diagonal below -_PSD_SLACK, the tolerance eigendecompose
-    allows, means R is indefinite beyond roundoff and raises
-    DomainError. Smaller negative residuals are roundoff in R's entries
-    or in the updates, and are left out of F with the rest. A matrix
-    with no diagonal entry above the stop has no field to sample and
-    raises DomainError too.
+    The loop reads one entry of each mirrored pair, so an R asymmetric
+    beyond 1e-12 in any entry raises DomainError. A residual diagonal
+    below -_PSD_SLACK, the tolerance eigendecompose allows, means R is
+    indefinite beyond roundoff and raises DomainError. Smaller negative
+    residuals are roundoff in R's entries or in the updates, and are
+    left out of F with the rest. A matrix with no diagonal entry above
+    the stop has no field to sample and raises DomainError too.
     """
     m = symmetric(R, "cholesky R")
     n = m.shape[0]

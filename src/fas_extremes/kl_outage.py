@@ -35,7 +35,11 @@ class ThresholdSpec:
 
     @property
     def x(self) -> float:
-        return 10.0 ** ((self.threshold_db - self.avg_snr_db) / 10.0)
+        try:  # a float 10^(d/10) overflows past d = 3082.5 dB and is 0 below d = -3236 dB
+            x = 10.0 ** ((self.threshold_db - self.avg_snr_db) / 10.0)
+        except OverflowError:
+            x = math.inf
+        return positive(x, f"threshold x at avg_snr_db = {self.avg_snr_db:g}")
 
     def __post_init__(self):
         for name in ("avg_snr_db", "threshold_db"):

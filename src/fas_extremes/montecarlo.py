@@ -26,8 +26,9 @@ starts. Blocks and tiles are views of one scratch slab
 from call to call.
 
 A threshold sweep reuses one set of draws. simulate_outage and
-simulate_outage_truncated accept a sequence of thresholds and count
-hits at every one of them from the same tiles, so the estimate at
+simulate_outage_truncated accept a sequence of thresholds (finite and
+> 0, checked by specialfn.reals before any draw) and count hits at
+every one of them from the same tiles, so the estimate at
 thresholds[i] is the very integer count, p and std_err that a scalar
 call at thresholds[i] with the same McConfig returns; a sweep costs one
 pass over the field instead of one per point. A truncation ladder
@@ -51,7 +52,7 @@ from .fieldmodel import (
     cholesky,
     correlation_matrix,
 )
-from .specialfn import DomainError, borrow, give_back, positive, whole
+from .specialfn import DomainError, borrow, give_back, positive, reals, whole
 
 __all__ = [
     "McConfig",
@@ -164,20 +165,13 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     return total.tolist()
 
 
-def _thresholds(x: float | Sequence[float]) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or xs.size == 0:
-        raise DomainError(f"threshold x must be a number or a non-empty 1-D sequence, got {x!r}")
-    if not np.all(np.isfinite(xs) & (xs > 0)):
-        raise DomainError(f"threshold x must be positive and finite, got {x!r}")
-    return xs
-
-
 def _outage(
     maps: Sequence[np.ndarray], x: float | Sequence[float], cfg: McConfig
 ) -> list[OutageEstimate | tuple[OutageEstimate, ...]]:
     """Per map, the estimate at x (a number) or a tuple of them (a sequence), from one draw."""
-    xs = _thresholds(x)
+    xs = reals(x, "threshold x", 0.0)
+    if not xs.all():
+        raise DomainError(f"threshold x must be > 0, got {x!r}")
 
     def hits(gains):  # trials whose best port stays below each threshold
         return np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)

@@ -95,7 +95,7 @@ def symmetric(m, name: str) -> np.ndarray:
     """m as a float array: a non-empty square matrix, finite, symmetric to 1e-12."""
     a = np.asarray(m, dtype=float)
     square = a.ndim == 2 and 0 < a.shape[0] == a.shape[1]
-    if not (square and np.isfinite(a).all() and np.allclose(a, a.T, atol=1e-12)):
+    if not (square and np.isfinite(a).all() and np.allclose(a, a.T, rtol=0.0, atol=1e-12)):
         raise DomainError(f"{name} must be a non-empty finite symmetric matrix (shape {a.shape})")
     return a
 

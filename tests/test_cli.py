@@ -124,6 +124,15 @@ class TestExitCodes:
         assert "rho_max" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-4000", "3300"])
+    def test_snr_past_the_float_range_is_named(self, tmp_path, capsys, snr):
+        # x = 10^(-snr/10) overflows at -4000 dB and rounds to 0 at 3300 dB
+        out = tmp_path / "bad.csv"
+        assert main(["outage-snr", "--N", "5", "--snr-db", snr, "--trials", "100",
+                     "--out", str(out)]) == 1
+        assert f"avg_snr_db = {snr}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["kl-convergence", "slepian-blocks"])
     def test_bad_port_count_is_named(self, tmp_path, capsys, experiment):
         # the port count, not the --K or --blocks range it would set
@@ -162,18 +171,19 @@ class TestDeterminism:
                 bodies.append(body_lines(out))
         assert bodies[:2] == bodies[2:]
 
-    def test_seed_env_fallback_and_flag_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FAS_SEED", "777")
+    @pytest.mark.parametrize("env", ["777", "abc"])
+    def test_seed_ignores_the_environment(self, tmp_path, monkeypatch, env):
+        # --seed alone sets the seed: an exported FAS_SEED, valid or not,
+        # changes neither the header nor a sampled cell
+        argv = ("outage-snr", "--N", "5", "--snr-db", "0", "--trials", "200")
+        monkeypatch.delenv("FAS_SEED", raising=False)
+        bare = body_lines(run(tmp_path, *argv)[1])
+        monkeypatch.setenv("FAS_SEED", env)
         rc, out = run(tmp_path, "psd")
         assert rc == 0
-        assert any(ln == "# seed: 777\n" for ln in body_lines(out))
-        rc, out2 = run(tmp_path, "psd", "--seed", "5")
-        assert any(ln == "# seed: 5\n" for ln in body_lines(out2))
-        monkeypatch.setenv("FAS_SEED", "abc")
-        assert run(tmp_path, "psd", "--seed", "5")[0] == 0
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "psd")
-        assert exc.value.code == 2
+        assert "# seed: 42\n" in body_lines(out)
+        assert "# seed: 5\n" in body_lines(run(tmp_path, "psd", "--seed", "5")[1])
+        assert body_lines(run(tmp_path, *argv)[1]) == bare
 
     def test_default_seed_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FAS_SEED", raising=False)
@@ -307,18 +317,14 @@ class TestFlagContract:
             assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("name", ["psd", "outage-snr"])
-    def test_seed_out_of_range_exits_two(self, tmp_path, monkeypatch, capsys, name):
-        # checked in main for every experiment, and for FAS_SEED too
+    def test_seed_out_of_range_exits_two(self, tmp_path, capsys, name):
+        # checked in main for every experiment
         extra = ["--N", "5", "--snr-db", "0", "--trials", "10"] if name == "outage-snr" else []
         for seed in (-1, 2**64):
             with pytest.raises(SystemExit) as exc:
                 run(tmp_path, name, *extra, "--seed", str(seed))
             assert exc.value.code == 2
             assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
-        monkeypatch.setenv("FAS_SEED", "-1")
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, name, *extra)
-        assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
         # the largest seed runs
         assert run(tmp_path, name, *extra, "--seed", str(2**64 - 1))[0] == 0

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fas_extremes.bounds import rho_extremes
 from fas_extremes.fieldmodel import (
     _PSD_SLACK,
     JITTER_LADDER,
@@ -188,6 +189,18 @@ class TestEigendecompose:
         # lambda = 7.6e-10, inside the bound above)
         big = oracle > 1e-6
         assert np.allclose(lam[big], oracle[big], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("reader", [cholesky, eigendecompose, rho_extremes])
+def test_asymmetry_past_1e_12_rejected(reader):
+    # the matrix readers share specialfn.symmetric, whose tolerance is
+    # 1e-12 absolute with no relative slack: a 1e-9 gap between an entry
+    # and its mirror would otherwise be read from one of the two
+    m = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+    with pytest.raises(DomainError, match="symmetric"):
+        reader(m)
+    m[1, 0] = 0.5 + 1e-13  # roundoff-sized, within the tolerance
+    reader(m)
 
 
 def _nan_at(entry):

@@ -197,6 +197,15 @@ class TestThresholdSpec:
         with pytest.raises(DomainError):
             ThresholdSpec(avg_snr_db=float("nan"), threshold_db=0.0)
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, 3300.0])
+    def test_x_outside_the_floats_names_the_snr(self, snr_db):
+        # 10^400 overflows and 10^-330 rounds to 0: neither is a threshold
+        with pytest.raises(DomainError, match="avg_snr_db"):
+            ThresholdSpec(avg_snr_db=snr_db, threshold_db=0.0).x
+        # the last dB values whose x is a float > 0
+        assert ThresholdSpec(avg_snr_db=-3082.5, threshold_db=0.0).x > 1e308
+        assert ThresholdSpec(avg_snr_db=3236.0, threshold_db=0.0).x > 0.0
+
 
 class TestRank1:
     def test_closed_form(self, gauss_spectrum_20_2):
