@@ -7,8 +7,9 @@ seeded Monte Carlo oracle:
 
   kernels      correlation kernels (Bessel and squared-exponential),
                spectra, the shared second spectral moment
-  fieldmodel   correlation matrices on the port grid, eigenstructure,
-               the pivoted-Cholesky sampling factor
+  fieldmodel   correlation matrices on the port grid and their one
+               pivoted-Cholesky factor, which the sampler draws through
+               and the eigenmodes come from
   kl_outage    eigenmode truncations: closed-form rank 1 and
                disk-intersection rank 2 (higher ranks go through the
                truncated Monte Carlo sampler)

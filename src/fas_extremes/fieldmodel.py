@@ -2,17 +2,16 @@
 
 The antenna aperture [0, W] is sampled at N equally spaced ports. The
 port-gain covariance is a symmetric Toeplitz matrix built from one of
-the kernels module's correlation functions. Eigendecomposition is one
-LAPACK call (numpy.linalg.eigh) with a fixed ordering and sign
-convention. Its input must be positive semi-definite up to a slack of
-1e-8 (_PSD_SLACK). Eigenvalues are reported as magnitudes, so tail
-values below the roundoff floor n eps lambda_max are roundoff, not the
-true (smaller, positive) eigenvalues.
+the kernels module's correlation functions.
 
-The one sampling factorization, cholesky, is a diagonal-pivoted
-Cholesky that stops at the matrix's numerical rank. It is a loop of
-elementwise products and NumPy's own sums, with no BLAS or LAPACK
-call, so the factor does not depend on the BLAS build or thread count.
+The one factorization, cholesky, is a diagonal-pivoted Cholesky that
+stops at the matrix's numerical rank r. It is a loop of elementwise
+products and NumPy's own sums, with no BLAS or LAPACK call, so the
+factor does not depend on the BLAS build or thread count. It holds the
+one rank and PSD rule. The sampler uses it as is, and eigendecompose
+takes the eigenmodes from it through an r x r Gram matrix, with a
+fixed ordering and sign convention; the N - r modes past the rank are
+reported as 0.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ __all__ = [
 ]
 
 # cholesky stops once no residual diagonal exceeds _PIVOT_STOP. A residual
-# diagonal, or an eigendecompose eigenvalue, down to -_PSD_SLACK is roundoff
-# in a PSD matrix's entries; one further below makes the matrix indefinite.
+# diagonal down to -_PSD_SLACK is roundoff in a PSD matrix's entries; one
+# further below makes the matrix indefinite.
 _PIVOT_STOP = 1e-12
 _PSD_SLACK = 1e-8
 # cholesky adds no diagonal shift, so CholeskyFactor.jitter is the class
@@ -69,8 +68,11 @@ class EigenSpectrum:
     """Descending eigenvalues with matched orthonormal eigenvector columns.
 
     All N modes, or the K leading ones from kl_truncate (N x K vectors).
-    The eigenvalues are 1-D, one per eigenvector column, each finite and
-    non-negative; a spectrum has at least one mode and one port."""
+    From eigendecompose, the modes past R's numerical rank have
+    eigenvalue 0 and a zero column, so only the leading columns are
+    orthonormal. The eigenvalues are 1-D, one per eigenvector column,
+    each finite and non-negative; a spectrum has at least one mode and
+    one port."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -132,23 +134,19 @@ def correlation_matrix(config: ApertureConfig) -> np.ndarray:
 
 
 def eigendecompose(R: np.ndarray) -> EigenSpectrum:
-    """Full symmetric eigendecomposition with a reproducible layout.
+    """All N modes of R, taken from its pivoted cholesky factor.
 
-    One LAPACK call (numpy.linalg.eigh). The input must be positive
-    semi-definite, as every correlation matrix is. Its entries are
-    rounded, so a singular one can come out indefinite by roundoff (the
-    float Jakes N = 20, W = 3 matrix's smallest eigvalsh eigenvalue is
-    -1.4e-16, and -2.3e-16 with its lags from mpmath). So the guard
-    allows what the Cholesky sampler allows: an eigenvalue below
-    -_PSD_SLACK (or below the solver's roundoff floor n eps
-    max|lambda|, if that is larger) raises DomainError. The rest
-    are reported as |lambda|, the matrix's singular values. Those keep
-    the solver's Weyl bound of n eps max|lambda| and sit no farther
-    from the eigenvalues of any PSD matrix than lambda does. Tail
-    eigenvalues below that floor are roundoff magnitudes, not the true
-    values: for the Gaussian kernel at N = 50, W = 3, a 120-digit mpmath
-    eigsy puts the smallest eigenvalue at 7.1e-24, where eigh returns
-    -6.3e-16.
+    With F = cholesky(R).lower (N x r, r the numerical rank), R's
+    nonzero spectrum is that of the r x r Gram matrix F^T F = V L V^T,
+    and U = F V L^(-1/2) holds the matching orthonormal eigenvectors
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012). The
+    Gram matrix and F V are elementwise products and NumPy sums, one
+    column at a time; the one LAPACK call is numpy.linalg.eigh on the
+    r x r Gram matrix. cholesky holds the one rank and PSD rule, so R
+    must be symmetric and positive semi-definite as it requires. Each
+    eigenvalue is within trace(R - F F^T) + O(eps lambda_1) of R's
+    (Weyl). The N - r modes past the rank are reported as eigenvalue 0
+    with a zero column.
 
     Eigenvalues are sorted descending; ties keep the smaller pre-sort
     index first. Each eigenvector's sign is fixed so that its first
@@ -156,26 +154,23 @@ def eigendecompose(R: np.ndarray) -> EigenSpectrum:
     positive. A symmetric Toeplitz matrix is centrosymmetric, so each
     eigenvector is symmetric or antisymmetric and its largest entry ties
     with its mirror image; a rule keyed on the largest entry lets
-    roundoff, which follows the BLAS thread count, pick the sign.
+    roundoff pick the sign.
     """
-    m = symmetric(R, "eigendecompose R")
-    n = m.shape[0]
-    vals, vecs = np.linalg.eigh(m)
-    roundoff = n * np.finfo(float).eps * float(np.abs(vals).max())
-    tol = max(_PSD_SLACK, roundoff)
-    if vals[0] < -tol:
-        raise DomainError(
-            f"matrix is not positive semi-definite: eigenvalue {vals[0]:.3e} below -{tol:.3e}"
-        )
-    vals = np.abs(vals)
-
-    order = np.lexsort((np.arange(n), -vals))  # descending, stable in index
-    vals = vals[order]
-    vecs = vecs[:, order]
+    F = cholesky(R).lower
+    n, r = F.shape
+    gram = np.empty((r, r))
+    for k in range(r):
+        gram[:, k] = (F * F[:, k : k + 1]).sum(axis=0)
+    vals, V = np.linalg.eigh(gram)
+    order = np.lexsort((np.arange(r), -vals))  # descending, stable in index
+    vals, V = vals[order], V[:, order]
+    vecs = np.zeros((n, n))
+    for k in range(r):
+        vecs[:, k] = (F * V[:, k]).sum(axis=1) / math.sqrt(vals[k])
     mags = np.abs(vecs)
     lead = np.argmax(mags >= _SIGN_FLOOR * mags.max(axis=0), axis=0)
     vecs *= np.where(vecs[lead, np.arange(n)] < 0, -1.0, 1.0)
-    return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
+    return EigenSpectrum(eigenvalues=np.concatenate([vals, np.zeros(n - r)]), eigenvectors=vecs)
 
 
 def cholesky(R: np.ndarray) -> CholeskyFactor:
@@ -195,10 +190,9 @@ def cholesky(R: np.ndarray) -> CholeskyFactor:
 
     The loop reads one entry of each mirrored pair, so an R asymmetric
     beyond 1e-12 in any entry raises DomainError. A residual diagonal
-    below -_PSD_SLACK, the tolerance eigendecompose allows, means R is
-    indefinite beyond roundoff and raises DomainError. Smaller negative
-    residuals are roundoff in R's entries or in the updates, and are
-    left out of F with the rest. A matrix with no diagonal entry above
+    below -_PSD_SLACK means R is indefinite beyond roundoff and raises
+    DomainError. Smaller negative residuals are roundoff in R's entries
+    or in the updates, and are left out of F with the rest. A matrix with no diagonal entry above
     the stop has no field to sample and raises DomainError too.
     """
     m = symmetric(R, "cholesky R")

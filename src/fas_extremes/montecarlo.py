@@ -27,11 +27,11 @@ from call to call.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds (finite and
-> 0, checked by specialfn.reals before any draw) and count hits at
-every one of them from the same tiles, so the estimate at
-thresholds[i] is the very integer count, p and std_err that a scalar
-call at thresholds[i] with the same McConfig returns; a sweep costs one
-pass over the field instead of one per point. A truncation ladder
+> 0, checked once before any draw) and count hits at every one of them
+from the same tiles, so the estimate at thresholds[i] is the very
+integer count, p and std_err that a scalar call at thresholds[i] with
+the same McConfig returns; a sweep costs one pass over the field
+instead of one per point. A truncation ladder
 reuses them too: simulate_outage_ladder draws each trial's leading k
 mode coordinates once and maps them through every rank K = 1..k in
 turn, in place of k passes that draw 1 + 2 + ... + k coordinates.
@@ -52,7 +52,7 @@ from .fieldmodel import (
     cholesky,
     correlation_matrix,
 )
-from .specialfn import DomainError, borrow, give_back, positive, reals, whole
+from .specialfn import DomainError, borrow, give_back, positive, whole
 
 __all__ = [
     "McConfig",
@@ -169,9 +169,12 @@ def _outage(
     maps: Sequence[np.ndarray], x: float | Sequence[float], cfg: McConfig
 ) -> list[OutageEstimate | tuple[OutageEstimate, ...]]:
     """Per map, the estimate at x (a number) or a tuple of them (a sequence), from one draw."""
-    xs = reals(x, "threshold x", 0.0)
-    if not xs.all():
-        raise DomainError(f"threshold x must be > 0, got {x!r}")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1 or xs.size == 0 or not (np.isfinite(xs) & (xs > 0.0)).all():
+        raise DomainError(
+            f"threshold x must be a finite number > 0 or a non-empty 1-D sequence of them, "
+            f"got {x!r}"
+        )
 
     def hits(gains):  # trials whose best port stays below each threshold
         return np.count_nonzero(gains.max(axis=1)[:, None] < xs, axis=0)

@@ -95,7 +95,9 @@ def symmetric(m, name: str) -> np.ndarray:
     """m as a float array: a non-empty square matrix, finite, symmetric to 1e-12."""
     a = np.asarray(m, dtype=float)
     square = a.ndim == 2 and 0 < a.shape[0] == a.shape[1]
-    if not (square and np.isfinite(a).all() and np.allclose(a, a.T, rtol=0.0, atol=1e-12)):
+    # a - a.T is exactly antisymmetric, so an entry more than 1e-12 from its
+    # mirror shows as a positive gap on one side: no abs, no second temporary
+    if not (square and np.isfinite(a).all()) or (a - a.T > 1e-12).any():
         raise DomainError(f"{name} must be a non-empty finite symmetric matrix (shape {a.shape})")
     return a
 

@@ -399,15 +399,23 @@ def test_cli_import_loads_numpy_only():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--W", "1", "--N", "200", "--trials", "200000", "--workers", "2"],
-        ["--W", "5", "--N", "400", "--trials", "100000", "--workers", "3"],
+        ["outage-aperture", "--W", "1", "--N", "200", "--trials", "200000", "--workers", "2",
+         "--snr-db", "-5,0,5"],
+        ["outage-aperture", "--W", "5", "--N", "400", "--trials", "100000", "--workers", "3",
+         "--snr-db", "-5,0,5"],
+        ["kl-convergence", "--N", "400", "--W", "5", "--K", "30", "--trials", "4000",
+         "--snr-db", "-5", "--workers", "2"],
+        ["outage-snr", "--model", "both", "--N", "20", "--W", "1", "--trials", "2000"],
+        ["eigen", "--N", "400", "--W", "5"],
     ],
-    ids=["N200-W1", "N400-W5"],
+    ids=["N200-W1", "N400-W5", "kl-convergence", "outage-snr", "eigen"],
 )
 def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
-    # one command, one CSV: the CLI's factor and draws must not follow the
-    # BLAS thread count (LAPACK's Cholesky gave both argvs different mc_*
-    # cells at OPENBLAS_NUM_THREADS=1 and =2)
+    # one command, one CSV: the factor, the modes taken from it, the draws
+    # and the Marcum rows must not follow the BLAS thread count. LAPACK's
+    # Cholesky gave the outage-aperture argvs different mc_* cells at
+    # OPENBLAS_NUM_THREADS=1 and =2, and an N x N eigh moved the eps_*
+    # cells of the kl-convergence argv and nearly every eigen row.
     src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
     bodies = []
     for threads in ("1", "2"):
@@ -416,39 +424,12 @@ def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
                    p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         out = tmp_path / f"threads{threads}.csv"
         done = subprocess.run(
-            [sys.executable, "-m", "fas_extremes.cli", "outage-aperture", *argv,
-             "--snr-db", "-5,0,5", "--seed", "42", "--out", str(out)],
+            [sys.executable, "-m", "fas_extremes.cli", *argv, "--seed", "42", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         bodies.append(body_lines(out))
     assert bodies[0] == bodies[1]
-
-
-def test_kl_ladder_does_not_depend_on_blas_threads(tmp_path):
-    # N = 400, W = 5: LAPACK's eigenvectors follow the BLAS thread count in
-    # their last bits. A sign rule keyed on each mode's largest entry, which
-    # ties with its mirror image, moved the trunc_* cells of 28 of these 30
-    # rows. The eps_* cells still move with the eigenvalues' roundoff, so
-    # only the sampled cells are compared.
-    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
-    sampled = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        out = tmp_path / f"threads{threads}.csv"
-        done = subprocess.run(
-            [sys.executable, "-m", "fas_extremes.cli", "kl-convergence", "--N", "400", "--W", "5",
-             "--K", "30", "--trials", "4000", "--snr-db", "-5", "--workers", "2", "--seed", "42",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        rows = data_rows(out)
-        assert len(rows) == 30
-        sampled.append([{k: v for k, v in row.items() if not k.startswith("eps_")} for row in rows])
-    assert sampled[0] == sampled[1]
 
 
 def test_outage_snr_sandwich_cells_equal_scalar_calls(tmp_path):
@@ -462,25 +443,3 @@ def test_outage_snr_sandwich_cells_equal_scalar_calls(tmp_path):
     for row in rows:
         lo, hi = slepian_sandwich(R, float(row["x"]))
         assert (float(row["slepian_lo"]), float(row["slepian_hi"])) == (lo, hi)
-
-
-def test_sandwich_cells_do_not_depend_on_blas_threads(tmp_path):
-    # the Marcum rows are reduced by NumPy sums, never BLAS; rank1 and
-    # rank2 go through LAPACK's eigh, so only the slepian_* cells are compared
-    src = os.path.dirname(os.path.dirname(fas_extremes.__file__))
-    cells = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        out = tmp_path / f"threads{threads}.csv"
-        done = subprocess.run(
-            [sys.executable, "-m", "fas_extremes.cli", "outage-snr", "--model", "both", "--N", "20",
-             "--W", "1", "--trials", "2000", "--seed", "42", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        rows = data_rows(out)
-        assert len(rows) == 31
-        cells.append([(row["slepian_lo"], row["slepian_hi"]) for row in rows])
-    assert cells[0] == cells[1]

@@ -3,8 +3,8 @@ Cholesky factor, KL truncation.
 
 The eigensolver is checked against raw numpy.linalg.eigh across the
 configuration grid the experiments use, and against a 50-digit mpmath
-eigsy of the same matrices, which resolves the tail that double
-precision reports only as roundoff.
+eigsy of the same matrices within the Weyl bound of the pivoted
+factor's residual.
 """
 
 import math
@@ -151,13 +151,15 @@ class TestEigendecompose:
             assert spec.eigenvalues.min() > 0, f"N={N} W={W}"
 
     def test_smooth_decay_reference_config(self):
-        spec = eigendecompose(
-            correlation_matrix(ApertureConfig(W=3.0, N=50, model=CorrelationModel.GAUSSIAN))
-        )
-        lam = spec.eigenvalues
-        assert lam.min() > 0
+        R = correlation_matrix(ApertureConfig(W=3.0, N=50, model=CorrelationModel.GAUSSIAN))
+        lam = eigendecompose(R).eigenvalues
+        # mpmath's smallest eigenvalue is 7.1e-24 with exact lags, and
+        # the spectrum past the rank is reported as 0 within the bound
+        assert np.all(np.abs(lam - _oracle_eigenvalues(R)) <= _weyl_bound(R, lam))
+        r = cholesky(R).lower.shape[1]
+        assert r < 50 and lam[r - 1] > 0 and not lam[r:].any()
         # decays by many orders across the spectrum without plateaus up front
-        assert lam[0] / lam.min() > 1e15
+        assert lam[0] / lam[r - 1] > 1e12
         assert lam[20] < 1e-2
         head = lam[:12]
         assert np.all(np.diff(head) < 0)
@@ -174,21 +176,47 @@ class TestEigendecompose:
     @pytest.mark.parametrize("model", list(CorrelationModel))
     def test_matches_mpmath_oracle(self, model):
         R = correlation_matrix(ApertureConfig(W=2.0, N=20, model=model))
-        spec = eigendecompose(R)
-        with mpmath.workdps(50):
-            exact, _ = mpmath.eigsy(mpmath.matrix(R.tolist()))
-            oracle = np.array(sorted((float(v) for v in exact), reverse=True))
-        lam = spec.eigenvalues
-        assert np.all(lam >= 0)
-        # the float matrix may be indefinite in its tail, so the
-        # reported |lambda| are held to the oracle's singular values
-        floor = 20 * np.finfo(float).eps * lam[0]
-        assert np.all(np.abs(lam - np.sort(np.abs(oracle))[::-1]) <= floor)
+        lam = eigendecompose(R).eigenvalues
+        oracle = _oracle_eigenvalues(R)
+        assert np.all(np.abs(lam - oracle) <= _weyl_bound(R, lam))
         # relative agreement where the absolute bound leaves room for it;
-        # below ~1e-6 that bound allows more than 1e-9 (Jakes: 1.4e-8 at
-        # lambda = 7.6e-10, inside the bound above)
-        big = oracle > 1e-6
+        # below ~1e-4 the dropped residual (trace 2.2e-13 for Jakes) moves
+        # more than 1e-9 (Jakes: 1.1e-8 at lambda = 2.3e-6, inside the bound)
+        big = oracle > 1e-4
         assert np.allclose(lam[big], oracle[big], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("N,W,model", GRID)
+    def test_modes_past_the_rank_are_zero(self, N, W, model):
+        R = correlation_matrix(ApertureConfig(W=W, N=N, model=model))
+        spec = eigendecompose(R)
+        r = cholesky(R).lower.shape[1]
+        assert spec.eigenvalues.shape == (N,) and spec.eigenvectors.shape == (N, N)
+        assert np.all(spec.eigenvalues[:r] > 0)
+        assert not spec.eigenvalues[r:].any() and not spec.eigenvectors[:, r:].any()
+        # the leading columns are orthonormal; the grid's worst is 7.8e-13
+        # (Jakes, N = 50, W = 3), where lambda_r / lambda_1 is 1.5e-12
+        U = spec.eigenvectors[:, :r]
+        assert np.max(np.abs(U.T @ U - np.eye(r))) < 1e-11
+
+
+def _oracle_eigenvalues(R):
+    """The float matrix's eigenvalues from a 50-digit mpmath eigsy, descending."""
+    with mpmath.workdps(50):
+        exact = mpmath.eigsy(mpmath.matrix(R.tolist()), eigvals_only=True)
+    return np.array(sorted((float(v) for v in exact), reverse=True))
+
+
+def _weyl_bound(R, lam):
+    """How far eigendecompose's eigenvalues may lie from R's.
+
+    R = F F^T + E with F = cholesky(R).lower and E the residual, so by
+    Weyl's inequality each eigenvalue of F F^T, whose nonzero ones the
+    Gram matrix F^T F holds, is within ||E||_2 <= trace(E) of R's (E is
+    positive semi-definite up to roundoff). The r x r eigh and the Gram
+    products add a roundoff of a few eps lambda_1.
+    """
+    F = cholesky(R).lower
+    return np.trace(R) - np.sum(F * F) + 20 * np.finfo(float).eps * lam[0]
 
 
 @pytest.mark.parametrize("reader", [cholesky, eigendecompose, rho_extremes])

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -168,6 +169,20 @@ class TestThresholdSweep:
 
         monkeypatch.setattr(montecarlo, "_sample", no_draws)
         with pytest.raises(DomainError):
+            SAMPLERS[sampler](x, McConfig(trials=10))
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, [1.0, 0.0]], ids=repr)
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_non_positive_threshold_has_one_message(self, monkeypatch, sampler, x):
+        # one check, whose message names the range it enforces: a negative
+        # threshold and a zero one fail the same way
+        def no_draws(*args):
+            raise AssertionError("drew samples for an invalid threshold")
+
+        monkeypatch.setattr(montecarlo, "_sample", no_draws)
+        message = ("threshold x must be a finite number > 0 or a non-empty 1-D sequence of"
+                   f" them, got {x!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SAMPLERS[sampler](x, McConfig(trials=10))
 
 
