@@ -15,15 +15,17 @@ set a thread count.
 
 One private loop (_sample) serves every estimator. Each worker draws
 its slice in latent blocks, a real-part block and then an imaginary-part
-one, and maps each block to the ports in row tiles of a few hundred
-trials that stay in cache; a tile's matmul is a row slice of the whole
-block's product, so the draws and gains are those the oracle fixture
-pins. The estimator reduces each tile to integers (hits per threshold,
-or the upcrossing count's sum and sum of squares), which are added into
-one total. Workers run in order on the calling thread, and no thread
-starts. Blocks and tiles are views of one scratch slab
-(specialfn.borrow), sized from the block and port count, and reused
-from call to call.
+one, and maps each block to the ports in tiles of a few hundred trials
+that stay in cache. Tiles are port-major: a tile holds one row per port
+with the trials along it, so a trial's best port is an elementwise max
+over contiguous port rows. A tile is mapped over a multiple of 8 trials,
+a block's last one padded with zero latents, so its products do not
+depend on the BLAS thread count. The estimator reduces each tile, seen
+as trials x ports, to integers (hits per threshold, or the upcrossing
+count's sum and sum of squares), which are added into one total.
+Workers run in order on the calling thread, and no thread starts.
+Blocks and tiles are views of one scratch slab (specialfn.borrow),
+sized from the block and port count, and reused from call to call.
 
 A threshold sweep reuses one set of draws. simulate_outage and
 simulate_outage_truncated accept a sequence of thresholds (finite and
@@ -69,9 +71,10 @@ __all__ = [
 # normals become real and which imaginary parts, so changing this changes
 # every draw. The scratch slab holds two blocks and two tiles.
 _CHUNK_BUDGET = 4_000_000
-# Floats per tile: a tile is the most multiples of 256 rows it holds, so at
-# N = 200 a tile's products and row max stay in a 2 MB L2 cache, while a
-# field of few ports is not cut into tiles whose numpy-call overhead shows.
+# Floats per port-major tile: a tile is the most multiples of 256 trials it
+# holds, so at N = 200 a tile's products and the max over its port rows stay
+# in a 2 MB L2 cache, while a field of few ports is not cut into tiles whose
+# numpy-call overhead shows.
 _TILE_FLOATS = 65_536
 
 
@@ -103,6 +106,11 @@ def _fill(rng: np.random.Generator, z: np.ndarray) -> None:
     z *= math.sqrt(0.5)
 
 
+def _eights(rows: int) -> int:
+    """rows rounded up to a multiple of 8."""
+    return -(-rows // 8) * 8
+
+
 def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> list[list[int]]:
     """Sums over all trials of reduce(gains) under each map, nout Python ints per map.
 
@@ -113,14 +121,18 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     truncations K = 1..k of one spectrum are counted on common
     random numbers, and a map as wide as the widest sees exactly the
     draws a call with it alone would. reduce takes a tile of squared
-    port gains, rows are trials, and returns nout integers; the tile is
-    valid only during the call. Two real matmuls beat one complex one
-    and keep the arithmetic bit-stable for one BLAS build. Tiles are cut
-    at multiples of 256 rows, a block's last tile taking the short
-    remainder: a small BLAS call could round its rows differently from
-    the whole block's product. Each block is drawn once, and each of its
-    tiles is mapped by every map in turn through the same two port-sized
-    tile buffers, so the slab does not grow with the number of maps.
+    port gains as trials x ports, a transposed view of a port-major
+    plane whose trial axis is contiguous, and returns nout integers; the
+    tile is valid only during the call. Two real matmuls beat one
+    complex one and keep the arithmetic bit-stable for one BLAS build.
+    Tiles are cut at multiples of 256 trials, a block's last tile taking
+    the short remainder, which is mapped over its trials rounded up to a
+    multiple of 8 with zero latents and reduced without the padding:
+    with OpenBLAS 0.3.31, a product over a multiple of 8 trials rounds
+    the same at any thread count, and products over other counts did
+    not. Each block is drawn once, and each of its tiles is mapped by
+    every map in turn through the same two port-major planes, so the
+    slab does not grow with the number of maps.
 
     Workers run in order on the calling thread: worker w draws its slice
     from Philox(seed).jumped(w), and every tile's integers are added to
@@ -132,14 +144,17 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
     rows = max(1024, min(262_144, _CHUNK_BUDGET // max(1, ncols, nports)))
     step = min(rows, base + (extra > 0))  # no more than the largest slice
     cut = 256 * max(1, _TILE_FLOATS // (256 * nports))
-    tall = min(step, 2 * cut - 1)  # the tallest tile: a cut and a remainder
+    # a block's last tile is mapped over its rows rounded up to a multiple
+    # of 8, the extra latent rows zero, so the blocks and the tallest tile
+    # (a cut and a remainder) are rounded up too
+    held, tall = _eights(step), _eights(min(step, 2 * cut - 1))
     # two latent blocks sized as if the factor had full rank, so passes of
     # any rank over one port count share one slab (latent rows a low-rank
-    # pass leaves alone cost no resident memory), then two tiles
-    nz, ng = step * max(ncols, nports), tall * nports
+    # pass leaves alone cost no resident memory), then two port-major tiles
+    nz, ng = held * max(ncols, nports), tall * nports
     slab = borrow(2 * (nz + ng))
-    zr, zi = (slab[i : i + step * ncols].reshape(step, ncols) for i in (0, nz))
-    gr, gi = (slab[i : i + ng].reshape(tall, nports) for i in (2 * nz, 2 * nz + ng))
+    zr, zi = (slab[i : i + held * ncols].reshape(held, ncols) for i in (0, nz))
+    planes = (2 * nz, 2 * nz + ng)
     total = np.zeros((len(maps), nout), dtype=np.int64)
     try:
         for w in range(min(cfg.workers, cfg.trials)):
@@ -149,17 +164,19 @@ def _sample(maps: Sequence[np.ndarray], cfg: McConfig, reduce, nout: int) -> lis
                 m = min(step, n_w - done)
                 _fill(rng, zr[:m])
                 _fill(rng, zi[:m])
+                zr[m : _eights(m)] = zi[m : _eights(m)] = 0.0
                 starts = range(0, max(cut, m - m % cut), cut)
                 for t0, t1 in zip(starts, [*starts[1:], m]):
-                    r, i = gr[: t1 - t0], gi[: t1 - t0]
+                    n = _eights(t1 - t0)
+                    r, i = (slab[j : j + nports * n].reshape(nports, n) for j in planes)
                     for mat, sums in zip(maps, total):
                         c = mat.shape[1]
-                        np.matmul(zr[t0:t1, :c], mat.T, out=r)
+                        np.matmul(mat, zr[t0 : t0 + n, :c].T, out=r)
                         np.square(r, out=r)
-                        np.matmul(zi[t0:t1, :c], mat.T, out=i)
+                        np.matmul(mat, zi[t0 : t0 + n, :c].T, out=i)
                         np.square(i, out=i)
                         i += r  # addition commutes, so the order of the parts is moot
-                        sums += reduce(i)
+                        sums += reduce(i[:, : t1 - t0].T)
     finally:
         give_back(slab)
     return total.tolist()

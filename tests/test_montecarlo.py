@@ -353,10 +353,29 @@ def _serial_latents(nports, ncols, cfg):
             yield zr, zi
 
 
+def _port_major(mat, zr, zi):
+    """One block's squared gains, trials x ports, mapped port-major at the sampler's tile cuts.
+
+    Tiles are multiples of 256 rows, and a block's last tile takes the
+    short remainder, mapped over its rows rounded up to a multiple of 8
+    with zero latents. A tile's port-major product need not be a column
+    slice of the whole block's, nor of an unpadded tile's, so the
+    reference cuts and pads where the sampler does.
+    """
+    m, cut = len(zr), 256 * max(1, montecarlo._TILE_FLOATS // (256 * len(mat)))
+    zr, zi = (np.vstack([z, np.zeros((-m % 8, z.shape[1]))]) for z in (zr, zi))
+    starts = list(range(0, max(cut, m - m % cut), cut))
+    tiles = []
+    for t0, t1 in zip(starts, [*starts[1:], m]):
+        t8 = t0 + montecarlo._eights(t1 - t0)
+        tiles.append(((mat @ zr[t0:t8].T) ** 2 + (mat @ zi[t0:t8].T) ** 2)[:, : t1 - t0].T)
+    return np.concatenate(tiles)
+
+
 def _serial_gain_chunks(mat, cfg):
-    """The sampler's blocks drawn and mapped whole, one after another: the reference."""
+    """The sampler's blocks, drawn whole in turn and mapped tile by tile: the reference."""
     for zr, zi in _serial_latents(*mat.shape, cfg):
-        yield (zr @ mat.T) ** 2 + (zi @ mat.T) ** 2
+        yield _port_major(mat, zr, zi)
 
 
 # Cases once also run on a worker-thread pool (the "helper") keep the id
@@ -391,6 +410,23 @@ class TestDrawAhead:
                 assert [e.hits for e in estimates] == [
                     int(np.count_nonzero(best < x)) for x in self.XS
                 ]
+
+    @pytest.mark.parametrize("N", [7, 64, 200])
+    def test_tiles_are_port_major(self, N):
+        # every tile reduced has its trial axis contiguous, so a trial's
+        # best port is a max over contiguous port rows; 1025 trials give a
+        # padded last tile at every N (one 1025-row tile at N = 7, and 256-row
+        # cuts and a 257-row remainder at N = 200)
+        R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
+        tiles = []
+
+        def keep(gains):
+            tiles.append((gains.shape, gains.strides[0] == gains.itemsize))
+            return (len(gains),)
+
+        montecarlo._sample([cholesky(R).lower], McConfig(trials=1_025, seed=13), keep, 1)
+        assert sum(shape[0] for shape, _ in tiles) == 1_025
+        assert tiles == [((shape[0], N), True) for shape, _ in tiles]
 
     def test_helper_failure_raised_by_caller(self, monkeypatch, scratch):
         # a failing draw re-raises in the caller, which still gives its slab back
@@ -534,7 +570,9 @@ from fas_extremes.fieldmodel import ApertureConfig, cholesky, correlation_matrix
 from fas_extremes.kernels import CorrelationModel
 for model in CorrelationModel:
     R = correlation_matrix(ApertureConfig(W=1.0, N=200, model=model))
-    for mat, workers in ((cholesky(R).lower, 2), (full_cholesky(R), 2), (full_cholesky(R), 8)):
+    odd = cholesky(correlation_matrix(ApertureConfig(W=1.0, N=201, model=model))).lower
+    for mat, workers, trials in ((cholesky(R).lower, 2, 10_000), (full_cholesky(R), 2, 10_000),
+                                 (full_cholesky(R), 8, 40_000), (odd, 8, 2_000)):
         digests, threads = [], set()
 
         def keep(gains):
@@ -542,7 +580,7 @@ for model in CorrelationModel:
             threads.add(threading.current_thread() is threading.main_thread())
             return (len(gains),)
 
-        cfg = montecarlo.McConfig(trials=10_000 * workers // 2, seed=42, workers=workers)
+        cfg = montecarlo.McConfig(trials=trials, seed=42, workers=workers)
         montecarlo._sample([mat], cfg, keep, 1)
         print(hashlib.sha256("".join(sorted(digests)).encode()).hexdigest(), sorted(threads))
 """
@@ -550,11 +588,14 @@ for model in CorrelationModel:
 
 def test_draws_do_not_depend_on_blas_threads():
     # dense-aperture's sampler config through cholesky's pivoted factor
-    # (ranks 10 and 17), and at full rank through the tests' reference
-    # factor with 2 and 8 workers (5000-row blocks), every tile mapped on
-    # the calling thread. BLAS reads its thread count at load. LAPACK's
-    # Cholesky (OpenBLAS 0.3.31 dpotrf) gives factors up to 1.2e-4 apart
-    # at 1 and 2 threads, so neither factor may call it.
+    # (ranks 10 and 17), at full rank through the tests' reference factor
+    # with 2 and 8 workers (5000-row blocks), and the pivoted factor over
+    # 201 ports in 8 slices of 250 trials, whose Gauss tiles rounded
+    # differently by thread count when trial-major, and when port-major
+    # over 250 unpadded trials; every tile mapped on the calling thread.
+    # BLAS reads its thread count at load. LAPACK's Cholesky (OpenBLAS
+    # 0.3.31 dpotrf) gives factors up to 1.2e-4 apart at 1 and 2 threads,
+    # so neither factor may call it.
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     tests = os.path.dirname(os.path.abspath(__file__))
     outputs = []
@@ -567,7 +608,7 @@ def test_draws_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.splitlines())
     assert outputs[0] == outputs[1]
-    assert [line.split(" ", 1)[1] for line in outputs[0]] == ["[True]"] * 6
+    assert [line.split(" ", 1)[1] for line in outputs[0]] == ["[True]"] * 8
 
 
 class TestMultiWorkerPins:
@@ -676,6 +717,24 @@ class TestLadder:
             # rank K reads the first K of the same coordinates
             best = np.concatenate([
                 ((zr[:, :K] @ B[:, :K].T) ** 2 + (zi[:, :K] @ B[:, :K].T) ** 2).max(axis=1)
+                for zr, zi in blocks
+            ])
+            assert [e.hits for e in rung] == [int(np.count_nonzero(best < x)) for x in self.XS]
+
+    def test_rungs_match_port_major_tiles_at_kl_ladder_shape(self):
+        # kl-ladder's field and rank (Gauss, N = 64, W = 1, k = 12) and its
+        # two workers: 1024-row tiles, and slices of 3001 and 3000 trials,
+        # so the last tile of the first is mapped over 960 rows for its 953
+        kl = kl_truncate(eigendecompose(correlation_matrix(
+            ApertureConfig(W=1.0, N=64, model=CorrelationModel.GAUSSIAN))), 12)
+        cfg = McConfig(trials=6_001, seed=11, workers=2)
+        ladder = simulate_outage_ladder(kl, self.XS, cfg)
+        assert len(ladder) == 12
+        B = montecarlo.truncated_gain_matrix(kl)
+        blocks = list(_serial_latents(*B.shape, cfg))
+        for K, rung in enumerate(ladder, start=1):
+            best = np.concatenate([
+                _port_major(B[:, :K].copy(), zr[:, :K], zi[:, :K]).max(axis=1)
                 for zr, zi in blocks
             ])
             assert [e.hits for e in rung] == [int(np.count_nonzero(best < x)) for x in self.XS]
