@@ -104,7 +104,7 @@ def equicorr_cdf_exact(
     which gives a tuple of floats in the same order. Every x shares one
     marcum_q1 call over the 64 nodes; x = 0 gives 0.
     """
-    xs = reals(x, "x", 0.0)
+    xs = reals(x, "x")
     rho, N = real(rho, "rho", 0.0, 1.0), whole(N, "N")
     if rho < 1e-14:
         cdf = [(-math.expm1(-v)) ** N for v in xs.tolist()]
@@ -152,7 +152,7 @@ def slepian_sandwich(
     equicorr_cdf_exact call per side. A rho_max too close to 1 for the
     equi-correlated CDF's Marcum windows raises DomainError naming it.
     """
-    reals(x, "x", 0.0)
+    reals(x, "x")
     ext = rho_extremes(R)
     n = len(R)
     try:

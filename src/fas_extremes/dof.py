@@ -26,7 +26,7 @@ def participation_ratio(R: np.ndarray) -> float:
     """
     m = symmetric(R, "participation_ratio R")
     n = m.shape[0]
-    if not np.allclose(np.diag(m), 1.0, atol=1e-9):
+    if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-9):
         raise DomainError("participation ratio expects a unit-diagonal matrix")
     return float(n * n / (m * m).sum())
 

@@ -84,7 +84,7 @@ class EigenSpectrum:
                 "an EigenSpectrum needs 1-D eigenvalues and one eigenvector column per"
                 f" eigenvalue, at least one of each, got shapes {lams.shape} and {vecs.shape}"
             )
-        reals(lams, "eigenvalues", 0.0)
+        reals(lams, "eigenvalues")
 
     @property
     def rank(self) -> int:

@@ -22,7 +22,7 @@ float > 0) and whole (an integer in [lo, hi], never truncated). Each
 returns the coerced value or raises DomainError naming the argument
 and its range, so NaN, infinite, fractional and out-of-range inputs
 fail the same way everywhere. reals checks an argument that may be a
-number or a non-empty 1-D sequence, entry by entry as real does, and
+number or a non-empty 1-D sequence, each entry finite and >= 0, and
 symmetric is the one structural check on a correlation matrix.
 """
 
@@ -80,12 +80,12 @@ def whole(v, name: str, lo: int = 1, hi: float = math.inf) -> int:
     return n
 
 
-def reals(v, name: str, lo: float = -math.inf) -> np.ndarray:
-    """v as a 1-D float array (a number gives one entry): non-empty, finite, each >= lo."""
+def reals(v, name: str) -> np.ndarray:
+    """v as a 1-D float array (a number gives one entry): non-empty, finite, each >= 0."""
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1 or x.size == 0 or not (np.isfinite(x) & (x >= lo)).all():
+    if x.ndim != 1 or x.size == 0 or not (np.isfinite(x) & (x >= 0.0)).all():
         raise DomainError(
-            f"{name} must be a finite number >= {lo:g} or a non-empty 1-D sequence of "
+            f"{name} must be a finite number >= 0 or a non-empty 1-D sequence of "
             f"them, got {v!r}"
         )
     return x
@@ -229,8 +229,8 @@ def marcum_q1(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarra
     (rho = 0.999), because the log-pmf at the window start is the
     difference of two terms near a^2/2 log(a^2/2).
     """
-    a_arr = reals(a, "marcum_q1 a", 0.0)
-    b_arr = reals(b, "marcum_q1 b", 0.0)
+    a_arr = reals(a, "marcum_q1 a")
+    b_arr = reals(b, "marcum_q1 b")
     # a^2/2 past the float range is inf, and its window's ends NaN
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = 0.5 * a_arr * a_arr
@@ -302,14 +302,10 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     """Gauss-Laguerre rule for weight e^{-t} on [0, inf).
 
     Used by the equi-correlated CDF expectation. Standard numpy
-    implementation; nodes come out ascending already. Orders whose
-    nodes or weights come out non-finite (187 and up on NumPy 2.4,
-    where the weights' normalisation overflows) raise DomainError.
-    Built once per order; later calls return the same rule.
+    implementation; nodes come out ascending already. Q is capped at
+    64, as in gauss_hermite, and every order up to it is finite. Built
+    once per order; later calls return the same rule.
     """
-    order = whole(order, "gauss_laguerre order", 1, 256)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        nodes, weights = np.polynomial.laguerre.laggauss(order)
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-        raise DomainError(f"gauss_laguerre order {order} gives non-finite nodes or weights")
+    order = whole(order, "gauss_laguerre order", 1, 64)
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
     return QuadratureRule(order=order, nodes=nodes, weights=weights)

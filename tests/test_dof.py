@@ -41,6 +41,10 @@ class TestParticipationRatio:
     def test_requires_unit_diagonal(self):
         with pytest.raises(DomainError):
             participation_ratio(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        # 1e-9 absolute, with no relative slack: 1 + 1e-6 is off the unit diagonal
+        with pytest.raises(DomainError):
+            participation_ratio(np.array([[1.0 + 1e-6, 0.3], [0.3, 1.0 + 1e-6]]))
+        participation_ratio(np.array([[1.0 + 1e-10, 0.3], [0.3, 1.0 + 1e-10]]))
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from conftest import full_cholesky
 
-from fas_extremes import cli, montecarlo
+from fas_extremes import cli, fieldmodel, montecarlo
 from fas_extremes.fieldmodel import (
     ApertureConfig,
     CholeskyFactor,
@@ -81,12 +81,6 @@ class TestIdentityChecks:
     def test_four_ports(self):
         est = simulate_outage(np.eye(4), 1.0, McConfig(trials=200_000, seed=42))
         assert _within(est, (1.0 - math.exp(-1.0)) ** 4)
-
-    def test_threshold_validation(self):
-        with pytest.raises(DomainError):
-            simulate_outage(np.eye(2), 0.0, McConfig(trials=10))
-        with pytest.raises(DomainError):
-            simulate_outage(np.eye(2), -1.0, McConfig(trials=10))
 
 
 class TestFactorCheck:
@@ -188,24 +182,24 @@ class TestThresholdSweep:
 
 class TestCliSamplesOncePerField:
     """Each (model, W, N[, K]) is sampled once over all its SNR points,
-    from a matrix built and factored once."""
+    from a matrix built once and factored once for the sampler."""
 
     @pytest.mark.parametrize(
-        "argv,full,ladder",
+        "argv,full,ladder,refactored",
         [
-            (["outage-aperture", "--W", "1", "--N", "10", "--snr-db", "-5,0,5"], 2, 0),
-            (["outage-snr", "--N", "6", "--snr-db", "-5,0,5"], 2, 0),
-            (["outage-ports", "--W", "1", "--N", "5", "--snr-db", "-5,0"], 2, 0),
-            (["gauss-error", "--W", "1", "--N", "6"], 2, 0),
-            (["kl-convergence", "--N", "8", "--K", "3"], 2, 2),
-            (["slepian-blocks", "--N", "8", "--blocks", "2"], 1, 0),
+            (["outage-aperture", "--W", "1", "--N", "10", "--snr-db", "-5,0,5"], 2, 0, 0),
+            (["outage-snr", "--N", "6", "--snr-db", "-5,0,5"], 2, 0, 1),
+            (["outage-ports", "--W", "1", "--N", "5", "--snr-db", "-5,0"], 2, 0, 0),
+            (["gauss-error", "--W", "1", "--N", "6"], 2, 0, 0),
+            (["kl-convergence", "--N", "8", "--K", "3"], 2, 2, 2),
+            (["slepian-blocks", "--N", "8", "--blocks", "2"], 1, 0, 0),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else str(v),
     )
-    def test_call_counts(self, tmp_path, monkeypatch, argv, full, ladder):
+    def test_call_counts(self, tmp_path, monkeypatch, argv, full, ladder, refactored):
         # kl-convergence samples each model's whole K ladder in one call
         calls = {"full": 0, "truncated": 0, "ladder": 0}
-        fields = {"built": 0, "factored": 0}
+        fields = {"built": 0, "factored": 0, "refactored": 0}
 
         def tally(kind, fn):
             def wrapper(*args):
@@ -233,12 +227,16 @@ class TestCliSamplesOncePerField:
         )
         monkeypatch.setattr(cli, "correlation_matrix", tally("built", correlation_matrix))
         monkeypatch.setattr(cli, "cholesky", tally("factored", cholesky))
+        monkeypatch.setattr(fieldmodel, "cholesky", tally("refactored", cholesky))
         rc = cli.main(argv + ["--trials", "500", "--workers", "1",
                               "--out", str(tmp_path / "out.csv")])
         assert rc == 0
         assert calls == {"full": full, "truncated": 0, "ladder": ladder}
-        # each field is built once and factored once, whatever else reads it
-        assert fields == {"built": full, "factored": full}
+        # each field is built once and factored once for the sampler, and
+        # eigendecompose factors each field it reads again (outage-snr's
+        # analytic field, kl-convergence's two); ROADMAP item 22 hands it
+        # the sampler's factor instead
+        assert fields == {"built": full, "factored": full, "refactored": refactored}
 
 
 class TestDeterminism:
@@ -306,37 +304,6 @@ def _tiles(mat, cfg):
     return got
 
 
-class TestGainChunks:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("rank", [6, 2])
-    def test_reused_buffers_match_fresh_products(self, monkeypatch, rank, workers):
-        # one slab is refilled in place across blocks, tiles and workers;
-        # the tiles, in the order the calling thread reduces them, must
-        # still equal the fresh-array products of each worker's
-        # Philox(9).jumped(w) draws
-        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row blocks
-        monkeypatch.setattr(montecarlo, "_TILE_FLOATS", 1)  # 256-row tiles
-        config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)
-        mat = montecarlo.truncated_gain_matrix(
-            kl_truncate(eigendecompose(correlation_matrix(config)), rank)
-        )
-        cfg = McConfig(trials=2500, seed=9, workers=workers)
-        tiles = _tiles(mat, cfg)
-        # a block's last tile takes its short remainder: 1024 = 3 x 256 + 256,
-        # 452 = 256 + 196 and 226 < 256
-        sizes = {1: [[1024, 1024, 452]], 2: [[1024, 226], [1024, 226]]}[workers]
-        cuts = {1024: [256] * 4, 452: [452], 226: [226]}
-        assert [len(t) for t in tiles] == [n for slice_ in sizes for m in slice_ for n in cuts[m]]
-        fresh = []
-        for w, slice_ in enumerate(sizes):
-            rng = np.random.Generator(np.random.Philox(key=9).jumped(w))
-            for m in slice_:
-                zr = rng.standard_normal((m, rank)) * math.sqrt(0.5)
-                zi = rng.standard_normal((m, rank)) * math.sqrt(0.5)
-                fresh.append((zr @ mat.T) ** 2 + (zi @ mat.T) ** 2)
-        assert np.array_equal(np.concatenate(tiles), np.concatenate(fresh))
-
-
 def _serial_latents(nports, ncols, cfg):
     """Every worker's latent blocks, (real, imaginary), drawn whole one after another."""
     base, extra = divmod(cfg.trials, cfg.workers)
@@ -378,21 +345,36 @@ def _serial_gain_chunks(mat, cfg):
         yield _port_major(mat, zr, zi)
 
 
-# Cases once also run on a worker-thread pool (the "helper") keep the id
-# suffix of their default-path variant, so their ids stay stable.
-_DEFAULT_PATH = pytest.mark.parametrize("path", ["default"], ids=["helper-default"])
-
-
-class TestDrawAhead:
+class TestGainChunks:
     """Blocks mapped in tiles change no bit of the serial loop's gains."""
 
     XS = [0.3, 1.0, 2.5, 4.0]
 
-    @_DEFAULT_PATH
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rank", [6, 2])
+    def test_reused_buffers_match_fresh_products(self, monkeypatch, rank, workers):
+        # one slab is refilled in place across blocks, tiles and workers;
+        # the tiles, in the order reduced, must still equal the reference's
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)  # 1024-row blocks
+        monkeypatch.setattr(montecarlo, "_TILE_FLOATS", 1)  # 256-row tiles
+        config = ApertureConfig(W=1.0, N=6, model=CorrelationModel.GAUSSIAN)
+        mat = montecarlo.truncated_gain_matrix(
+            kl_truncate(eigendecompose(correlation_matrix(config)), rank)
+        )
+        cfg = McConfig(trials=2500, seed=9, workers=workers)
+        tiles = _tiles(mat, cfg)
+        # a block's last tile takes its short remainder: 1024 = 3 x 256 + 256,
+        # 452 = 256 + 196 and 226 < 256
+        sizes = {1: [1024, 1024, 452], 2: [1024, 226, 1024, 226]}[workers]
+        cuts = {1024: [256] * 4, 452: [452], 226: [226]}
+        assert [len(t) for t in tiles] == [n for m in sizes for n in cuts[m]]
+        ref = np.concatenate(list(_serial_gain_chunks(mat, cfg)))
+        assert np.array_equal(np.concatenate(tiles), ref)
+
     @pytest.mark.parametrize("budget", [None, 1], ids=["budget-default", "budget-1"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N", [7, 64, 200])
-    def test_matches_serial_loop(self, monkeypatch, N, workers, budget, path):
+    def test_matches_serial_loop(self, monkeypatch, N, workers, budget):
         if budget is not None:  # 1024-row blocks, several per worker
             monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
         R = correlation_matrix(ApertureConfig(W=1.0, N=N, model=CorrelationModel.GAUSSIAN))
@@ -428,7 +410,7 @@ class TestDrawAhead:
         assert sum(shape[0] for shape, _ in tiles) == 1_025
         assert tiles == [((shape[0], N), True) for shape, _ in tiles]
 
-    def test_helper_failure_raised_by_caller(self, monkeypatch, scratch):
+    def test_failed_draw_raised_by_caller(self, monkeypatch, scratch):
         # a failing draw re-raises in the caller, which still gives its slab back
         fill, drawn = montecarlo._fill, []
 
@@ -465,9 +447,8 @@ class TestDrawAhead:
 class TestScratchSlab:
     """Every block and tile is carved from a reused slab, which must change no result."""
 
-    @_DEFAULT_PATH
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers, path):
+    def test_warm_slab_cannot_leak(self, monkeypatch, scratch, workers):
         # 1024-row blocks: 5003 trials end every worker's slice on a
         # short block, which leaves stale rows past it in the slab
         monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", 1)
@@ -491,8 +472,7 @@ class TestScratchSlab:
             assert call() == expect
             assert scratch == [poisoned]  # the NaN slab was the one used
 
-    @_DEFAULT_PATH
-    def test_live_generators_own_their_slabs(self, monkeypatch, scratch, path):
+    def test_live_generators_own_their_slabs(self, monkeypatch, scratch):
         # a reduce that samples: while each tile of an outer pass is live,
         # an inner pass runs. Every live pass must own its slab, and
         # together they leave one idle slab.

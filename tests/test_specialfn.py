@@ -285,16 +285,10 @@ class TestGaussLaguerre:
             with pytest.raises(DomainError):
                 gauss_laguerre(0)
             with pytest.raises(DomainError):
-                gauss_laguerre(257)
+                gauss_laguerre(65)
             for order in (2.5, math.nan, math.inf):
                 with pytest.raises(DomainError):
                     gauss_laguerre(order)
-
-    @pytest.mark.parametrize("order", [187, 256])
-    def test_non_finite_rule_rejected(self, order):
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                gauss_laguerre(order)
 
     def test_rule_is_immutable(self):
         rule = gauss_laguerre(64)
@@ -304,8 +298,3 @@ class TestGaussLaguerre:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
         assert gauss_laguerre(64).nodes[0] > 0.0
-
-    def test_largest_finite_order_builds(self):
-        rule = gauss_laguerre(186)
-        assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
-        assert abs(np.sum(rule.weights) - 1.0) < 1e-10
