@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fas_extremes.bounds import equicorr_cdf_exact, slepian_sandwich
+from fas_extremes.fieldmodel import EigenSpectrum
 from fas_extremes.specialfn import (
     DomainError,
     bessel_j0,
@@ -266,6 +268,19 @@ class TestGaussHermite:
 
 
 class TestGaussLaguerre:
+    @pytest.mark.parametrize("q", [1, 2, 5, 10, 16, 24, 32, 63, 64])
+    def test_rule_invariants(self, q):
+        # every accepted order is finite, so the rule needs no guard
+        rule = gauss_laguerre(q)
+        nodes = np.array(rule.nodes)
+        weights = np.array(rule.weights)
+        assert rule.order == q
+        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+        assert np.all(weights > 0)
+        assert nodes[0] > 0 and np.all(np.diff(nodes) > 0)
+        assert abs(weights.sum() - 1.0) < 1e-12
+        assert abs((weights * nodes).sum() - 1.0) < 1e-11
+
     def test_moments(self):
         rule = gauss_laguerre(32)
         nodes = np.array(rule.nodes)
@@ -298,3 +313,27 @@ class TestGaussLaguerre:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
         assert gauss_laguerre(64).nodes[0] > 0.0
+
+
+# every caller of reals, each with its argument name in the message
+REALS_CALLERS = {
+    "equicorr_cdf_exact": ("x", lambda v: equicorr_cdf_exact(v, 0.5, 4)),
+    "slepian_sandwich": ("x", lambda v: slepian_sandwich(np.eye(3), v)),
+    "eigenspectrum": ("eigenvalues", lambda v: EigenSpectrum(np.atleast_1d(v), np.eye(1))),
+    "marcum_q1-a": ("marcum_q1 a", lambda v: marcum_q1(v, 1.0)),
+    "marcum_q1-b": ("marcum_q1 b", lambda v: marcum_q1(1.0, v)),
+}
+
+
+class TestReals:
+    @pytest.mark.parametrize("caller", list(REALS_CALLERS))
+    def test_negative_entry_has_one_message(self, caller):
+        name, call = REALS_CALLERS[caller]
+        call(0.0)
+        with pytest.raises(DomainError) as err:
+            call(-1e-300)
+        # the repr after "got" is of what the caller passed on
+        assert str(err.value).startswith(
+            f"{name} must be a finite number >= 0 or a non-empty 1-D sequence of "
+            "them, got "
+        )
